@@ -92,15 +92,22 @@ Per-task retry knobs (all backends): ``--task-timeout SECONDS``,
 ``REPRO_BACKOFF_BASE`` environment variables (``--lease-ttl`` likewise
 matches ``REPRO_LEASE_TTL`` for broker leases).
 
-``--run-dir DIR`` makes the invocation durable: the chosen experiments
-and options are written to ``DIR/manifest.json``, every sweep journals
-its completed tasks under ``DIR/sweep-NNNN/``, each task checkpoints
-its simulation periodically (``--checkpoint-interval`` simulated
-seconds), and with ``--trace-out`` events also stream to
+``--run-dir DIR`` makes the invocation durable.  The chosen
+experiments and options are written to ``DIR/manifest.json`` and every
+sweep runs through a local broker at ``DIR/broker`` (unless
+``--broker-dir``/``--broker-url`` names a broker, which then holds the
+sweeps instead): completed tasks are recorded there with a digest,
+each task checkpoints its simulation periodically
+(``--checkpoint-interval`` simulated seconds, honoured on every broker
+backend), and with ``--trace-out`` events also stream to
 ``trace.jsonl`` as they happen.  ``resume DIR`` replays the manifest:
-journaled tasks are skipped, interrupted tasks continue from their
+recorded tasks are replayed, interrupted tasks continue from their
 latest valid checkpoint, and the completed output is byte-identical to
-an uninterrupted run.
+an uninterrupted run.  Tasks whose workers died with the run stay
+leased until their lease expires, so a resume can wait up to one lease
+TTL (``--lease-ttl``, 30 s by default) before re-running them.
+``status DIR/broker`` and ``bless DIR/broker`` work on a run
+directory's broker like on any other.
 """
 
 from __future__ import annotations
@@ -351,18 +358,20 @@ def _parse_args(argv):
         "--run-dir",
         default=None,
         metavar="DIR",
-        help="make the run durable: write DIR/manifest.json, journal "
-        "every sweep under DIR, and checkpoint each task's simulation; "
-        "an interrupted invocation continues with "
-        "'python -m repro.experiments resume DIR'",
+        help="make the run durable: write DIR/manifest.json and run "
+        "every sweep through the broker at DIR/broker (unless "
+        "--broker-dir/--broker-url names one), checkpointing each task's "
+        "simulation; an interrupted invocation continues with "
+        "'python -m repro.experiments resume DIR', which may first wait "
+        "up to one --lease-ttl for tasks of dead workers",
     )
     parser.add_argument(
         "--checkpoint-interval",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="simulated seconds between task checkpoints under "
-        "--run-dir (default: 10)",
+        help="simulated seconds between task checkpoints of "
+        "broker-backed sweeps, including --run-dir ones (default: 10)",
     )
     parser.add_argument(
         "--task-timeout",
@@ -613,13 +622,15 @@ def _execute(args, chosen: list, run_dir: Optional[Path]) -> None:
         # Through the environment for the same reason as --cache-dir:
         # harness workers read it when building their own recorders.
         os.environ[TRACE_DIR_ENV] = args.trace_out
+    if args.checkpoint_interval is not None:
+        # Through the environment so broker workers checkpoint at the
+        # same cadence (task_checkpoint_manager reads it).
+        os.environ[CHECKPOINT_INTERVAL_ENV] = str(args.checkpoint_interval)
+    if run_dir is not None and not (args.broker_dir or args.broker_url):
+        # A run directory is a broker directory: its sweeps are claims
+        # in DIR/broker, recorded on completion and replayed by resume.
+        os.environ[BROKER_DIR_ENV] = str(run_dir / "broker")
     trace_dir = os.environ.get(TRACE_DIR_ENV)
-    if run_dir is not None:
-        harness.set_run_root(run_dir)
-        if args.checkpoint_interval is not None:
-            # Through the environment so pool workers checkpoint at the
-            # same cadence (task_checkpoint_manager reads it).
-            os.environ[CHECKPOINT_INTERVAL_ENV] = str(args.checkpoint_interval)
     live = any(name != "telemetry" for name in chosen)
     recorder = None
     if trace_dir and live:
@@ -649,8 +660,6 @@ def _execute(args, chosen: list, run_dir: Optional[Path]) -> None:
                 _EXPERIMENTS[name](args.jobs, log)
             print()
     finally:
-        if run_dir is not None:
-            harness.set_run_root(None)
         if recorder is not None:
             recorder.close_stream()
     if recorder is not None:

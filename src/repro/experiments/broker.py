@@ -956,13 +956,13 @@ class Broker:
     def replay(self, sweep: str, traced: bool = False) -> dict:
         """``{task index: value}`` for every verified recorded result.
 
-        Mirrors the journal contract: a result whose file is missing,
-        truncated, or fails its digest check is treated as absent (the
-        task re-runs) rather than returning silently wrong bytes, and
-        records of the other traced-ness are skipped.  A missing or
-        damaged local file falls back to the shared artifact store
-        (fetched by the row's digest, verified, and republished
-        locally), so a second host can replay a sweep it never ran.
+        A result whose file is missing, truncated, or fails its digest
+        check is treated as absent (the task re-runs) rather than
+        returning silently wrong bytes, and records of the other
+        traced-ness are skipped.  A missing or damaged local file
+        falls back to the shared artifact store (fetched by the row's
+        digest, verified, and republished locally), so a second host
+        can replay a sweep it never ran.
         """
         by_key = {}
         rows = self._conn().execute(

@@ -34,22 +34,19 @@ coupling any task's seed to how many tasks run or in what order.
 Durable sweeps
 ==============
 
-Pass ``journal=`` (a :class:`~repro.experiments.journal.RunJournal` or
-a directory path) — or call :func:`set_run_root` once to journal every
-subsequent sweep under numbered subdirectories — and ``run_tasks``
-becomes crash-safe: each completed task is journaled with a content
-digest, a rerun (``python -m repro.experiments resume RUNDIR``) skips
-journaled results and recomputes only what never finished, each task
-runs with :data:`~repro.sim.checkpoint.TASK_CHECKPOINT_DIR_ENV`
-pointing at its own checkpoint directory (checkpoint-aware point
-functions then resume mid-simulation), pool deaths are blamed on the
-tasks that were running via the pid files the straggler-reclamation
-path already maintains, and a task blamed for
-:data:`~repro.experiments.journal.MAX_TASK_CRASHES` pool deaths is
-demoted to serial-with-checkpoints in the parent instead of being
-allowed to take another pool down.  Because point functions are pure
-and results are replayed in task order, a resumed sweep returns bit-
-identical results to an uninterrupted one.
+Durability is the broker backend's job (``backend="broker"``, or a
+broker named by ``broker_dir=`` / ``REPRO_BROKER_DIR`` /
+``REPRO_BROKER_URL``): every task is a content-keyed claim in
+:mod:`repro.experiments.broker`, completed results are recorded with a
+digest and replayed on rerun, each task runs with
+:data:`~repro.sim.checkpoint.TASK_CHECKPOINT_DIR_ENV` pointing at its
+own checkpoint directory (checkpoint-aware point functions then resume
+mid-simulation), a dead worker's lease expires and its task is
+re-offered, and a task that keeps failing is quarantined and then
+rescued serially in the parent.  The CLI's ``--run-dir DIR`` is a
+local broker at ``DIR/broker``.  Because point functions are pure and
+results are replayed in task order, a resumed sweep returns
+bit-identical results to an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -64,7 +61,6 @@ import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from repro.errors import (
@@ -74,9 +70,7 @@ from repro.errors import (
     TaskTimeoutError,
 )
 from repro.experiments.broker import BROKER_DIR_ENV, BROKER_URL_ENV
-from repro.experiments.journal import MAX_TASK_CRASHES, RunJournal
-from repro.sim.checkpoint import TASK_CHECKPOINT_DIR_ENV, task_checkpoint_dir
-from repro.taxonomy import demotion_reason, pool_death_reason
+from repro.sim.checkpoint import task_checkpoint_dir
 from repro.telemetry.context import current_recorder, set_recorder
 from repro.telemetry.recorder import TraceRecorder
 
@@ -99,35 +93,6 @@ TASK_RETRIES_ENV = "REPRO_TASK_RETRIES"
 #: not the enqueuing host's.  ``0`` means "submit and wait": enqueue
 #: the sweep and block until workers elsewhere complete it.
 BROKER_WORKERS_ENV = "REPRO_BROKER_WORKERS"
-
-#: Run root installed by :func:`set_run_root`; when set, every
-#: ``run_tasks`` call without an explicit ``journal=`` gets one under
-#: ``<root>/sweep-NNNN``.
-_run_root: Optional[Path] = None
-_sweep_seq = 0
-
-
-def set_run_root(path) -> Optional[Path]:
-    """Journal every subsequent :func:`run_tasks` sweep under *path*.
-
-    Sweeps are numbered ``sweep-0000``, ``sweep-0001``, ... in call
-    order; experiments run their sweeps in a deterministic order, so a
-    resumed invocation assigns every sweep the same directory it had in
-    the interrupted one.  Pass ``None`` to turn auto-journaling off.
-    """
-    global _run_root, _sweep_seq
-    _run_root = Path(path) if path is not None else None
-    _sweep_seq = 0
-    return _run_root
-
-
-def _auto_journal() -> Optional[RunJournal]:
-    global _sweep_seq
-    if _run_root is None:
-        return None
-    journal = RunJournal(_run_root / f"sweep-{_sweep_seq:04d}")
-    _sweep_seq += 1
-    return journal
 
 
 def worker_count(jobs: Optional[int] = None) -> int:
@@ -204,7 +169,6 @@ def run_tasks(
     timeout: Optional[float] = None,
     retries: Optional[int] = None,
     start_method: Optional[str] = None,
-    journal=None,
     backend: Optional[str] = None,
     broker_dir=None,
 ) -> list:
@@ -241,18 +205,11 @@ def run_tasks(
             default when omitted.  Non-fork workers do not inherit the
             parent's warm pipeline cache through memory, so its entries
             are shipped to each worker via a pool initializer instead.
-        journal: optional :class:`~repro.experiments.journal.RunJournal`
-            (or directory path) making the sweep durable: completed
-            tasks are journaled and skipped on rerun, tasks checkpoint
-            into per-task directories, pool deaths are blamed on the
-            tasks that were running, and repeat offenders are demoted
-            to serial-in-parent execution.  Defaults to the
-            :func:`set_run_root` auto-journal, or no journaling.
         backend: ``"pool"`` (the single-host ProcessPoolExecutor,
             default) or ``"broker"`` (route the sweep through the
             claim/lease queue of :mod:`repro.experiments.broker` —
-            multi-worker, multi-host, crash-safe).  ``None`` selects
-            the broker automatically when *broker_dir* or the
+            multi-worker, multi-host, crash-safe, resumable).  ``None``
+            selects the broker automatically when *broker_dir* or the
             ``REPRO_BROKER_DIR`` environment variable names a broker
             directory.  If that directory cannot be opened the sweep
             degrades gracefully to the pool backend.
@@ -292,13 +249,6 @@ def run_tasks(
         raise ExperimentError(
             f"backend must be 'pool' or 'broker', got {backend!r}"
         )
-    if journal is None:
-        # Resolve the auto-journal before the empty-sweep return so the
-        # sweep numbering consumed from set_run_root is identical in
-        # clean and resumed invocations whatever the task counts.
-        journal = _auto_journal()
-    elif not isinstance(journal, RunJournal):
-        journal = RunJournal(journal)
     if total == 0:
         return []
 
@@ -341,7 +291,7 @@ def run_tasks(
 
     jobs = min(worker_count(jobs), total)
     if jobs == 1:
-        return _run_serial(fn, tasks, labels, log, rec, journal)
+        return _run_serial(fn, tasks, labels, log, rec)
 
     traced = rec is not None
     if traced:
@@ -351,26 +301,18 @@ def run_tasks(
         # every event already collected here.
         fn = functools.partial(_telemetry_task, fn, tuple(rec.categories))
     results = [_UNSET] * total
-    if journal is not None:
-        done = journal.completed_results(traced=traced)
-        for index, value in done.items():
-            if 0 <= index < total:
-                results[index] = value
-        prefilled = sum(1 for value in results if value is not _UNSET)
-        if log is not None and prefilled:
-            log(f"journal: {prefilled} of {total} task(s) already complete")
     try:
         _run_pool(
             fn, tasks, labels, jobs, log, timeout, retries, results,
-            start_method, journal, traced,
+            start_method,
         )
     except BrokenProcessPool:
         # A worker died without reporting an exception (OOM-killed,
         # segfaulted C extension, ...).  The pool is unusable, but the
         # sweep need not be lost: rerun whatever is incomplete serially
         # in-process, where a real traceback surfaces if fn itself is
-        # the culprit.  Journaled results (including any collected from
-        # the dying pool) are kept, not recomputed.
+        # the culprit.  Results collected from the dying pool are kept,
+        # not recomputed.
         incomplete = [i for i in range(total) if results[i] is _UNSET]
         if log is not None:
             log(
@@ -378,14 +320,7 @@ def run_tasks(
                 f"unfinished task(s) serially"
             )
         for count, index in enumerate(incomplete):
-            if journal is not None:
-                value = _call_with_checkpoint_dir(
-                    fn, tasks[index], journal.checkpoint_dir(index)
-                )
-                journal.record(index, labels[index], value, traced=traced)
-            else:
-                value = fn(tasks[index])
-            results[index] = value
+            results[index] = fn(tasks[index])
             if log is not None:
                 log(f"[serial {count + 1}/{len(incomplete)}] {labels[index]}")
     if traced:
@@ -404,33 +339,14 @@ def _run_serial(
     labels: Sequence[str],
     log: Optional[Callable],
     rec,
-    journal: Optional[RunJournal],
 ) -> list:
-    """``jobs=1`` path of :func:`run_tasks`: in-process, in task order.
-
-    With a journal, completed tasks are skipped and fresh ones recorded
-    (bare values — no telemetry blobs, the parent recorder is live) and
-    each task runs with its checkpoint directory exported.
-    """
+    """``jobs=1`` path of :func:`run_tasks`: in-process, in task order."""
     total = len(tasks)
-    done = journal.completed_results() if journal is not None else {}
     results = []
     task_run = None
     for index, task in enumerate(tasks):
-        if index in done:
-            results.append(done[index])
-            if log is not None:
-                log(f"[{index + 1}/{total}] {labels[index]} (journaled)")
-            continue
         started = time.perf_counter()
-        if journal is not None:
-            value = _call_with_checkpoint_dir(
-                fn, task, journal.checkpoint_dir(index)
-            )
-            journal.record(index, labels[index], value)
-        else:
-            value = fn(task)
-        results.append(value)
+        results.append(fn(task))
         if rec is not None:
             elapsed = time.perf_counter() - started
             if rec.wants("task"):
@@ -444,16 +360,6 @@ def _run_serial(
         if log is not None:
             log(f"[{index + 1}/{total}] {labels[index]}")
     return results
-
-
-def _call_with_checkpoint_dir(fn: Callable, task, ckpt_dir, ref=None) -> object:
-    """Run ``fn(task)`` with :data:`TASK_CHECKPOINT_DIR_ENV` pointing at
-    the task's checkpoint directory, so checkpoint-aware point functions
-    (``runner.run_technique_point``) save there — and resume from there
-    when the directory already holds a valid snapshot.  *ref* names the
-    snapshots in the shared artifact store (broker content key)."""
-    with task_checkpoint_dir(ckpt_dir, ref=ref):
-        return fn(task)
 
 
 def _telemetry_task(fn, categories, task):
@@ -536,12 +442,12 @@ def _run_broker(
     """Broker backend of :func:`run_tasks`: enqueue, drive workers,
     replay in task order.
 
-    The queue is the durable layer here (results are recorded
-    idempotently by content key), so the sweep journal is not used.
+    The queue is the durable layer: results are recorded idempotently
+    by content key, so a rerun replays them instead of recomputing.
     Tasks that end up quarantined — or whose results cannot be
-    verified — are rescued serially in-parent as the last resort, the
-    same demotion the journal applies to pool-killing tasks; a genuine
-    poison task then raises its real traceback in the caller.
+    verified — are rescued serially in-parent (with their checkpoint
+    directory) as the last resort; a genuine poison task then raises
+    its real traceback in the caller.
     """
     from repro.experiments.broker import (
         DEFAULT_MAX_ATTEMPTS,
@@ -605,9 +511,8 @@ def _run_broker(
                     f"serially in parent ({why})"
                 )
             key = task_key(run_fn, tasks[index])
-            value = _call_with_checkpoint_dir(
-                run_fn, tasks[index], broker.checkpoint_dir(key), ref=key
-            )
+            with task_checkpoint_dir(broker.checkpoint_dir(key), ref=key):
+                value = run_fn(tasks[index])
             try:
                 broker.complete(
                     Lease(sweep, index, key, labels[index], b"", 0, 0.0,
@@ -772,19 +677,14 @@ def _warm_spawned_worker(blob: bytes) -> None:
 
 def _traced_call(payload: tuple):
     """Worker shim recording which pid runs which task, so a hung task's
-    worker can be SIGKILLed from the parent — and, because the pid file
-    is removed only on completion, so a pool death can be blamed on the
-    tasks that were actually running.  Under a journal the task also
-    gets its checkpoint directory exported."""
-    fn, task, pid_path, ckpt_dir = payload
+    worker can be SIGKILLed from the parent."""
+    fn, task, pid_path = payload
     try:
         with open(pid_path, "w") as handle:
             handle.write(str(os.getpid()))
     except OSError:
         pass
     try:
-        if ckpt_dir is not None:
-            return _call_with_checkpoint_dir(fn, task, ckpt_dir)
         return fn(task)
     finally:
         try:
@@ -796,21 +696,6 @@ def _traced_call(payload: tuple):
 class _StragglersKilled(Exception):
     """Internal: a hung worker was SIGKILLed; the pool is gone and the
     incomplete tasks need a fresh one."""
-
-
-class _PoolBroken(Exception):
-    """Internal: the pool died under a journal; ``indices`` are the
-    tasks whose pid files say they were running when it happened."""
-
-    def __init__(self, indices: list):
-        super().__init__(f"pool died running task(s) {indices}")
-        self.indices = indices
-
-
-def _has_pid_file(pid_dir: Optional[str], index: int) -> bool:
-    return pid_dir is not None and os.path.exists(
-        os.path.join(pid_dir, f"{index}.pid")
-    )
 
 
 def _kill_straggler(pool, pid_dir: Optional[str], index: int) -> bool:
@@ -844,8 +729,6 @@ def _run_pool(
     retries: int,
     results: list,
     start_method: Optional[str] = None,
-    journal: Optional[RunJournal] = None,
-    traced: bool = False,
 ) -> None:
     """Pool path of :func:`run_tasks`, filling *results* in place.
 
@@ -853,12 +736,9 @@ def _run_pool(
     SIGKILLed (its slot cannot otherwise be reclaimed — a worker with a
     task is unkillable through the executor API), the broken pool is
     dropped and the still-incomplete tasks resubmitted to a fresh one,
-    with per-task attempt counts carried across generations.  Under a
-    journal, a pool death is survivable too: the tasks whose pid files
-    say they were running get the blame, and a task blamed for
-    :data:`MAX_TASK_CRASHES` deaths (counted across resumed
-    invocations) is demoted to serial-with-checkpoints in the parent
-    before the next pool is built.
+    with per-task attempt counts carried across generations.  Any other
+    pool death propagates as :class:`BrokenProcessPool`, which
+    :func:`run_tasks` answers with a serial rerun of what is left.
     """
     total = len(tasks)
     context = multiprocessing.get_context(start_method)
@@ -870,35 +750,15 @@ def _run_pool(
         initializer = _warm_spawned_worker
         initargs = (default_cache().export_entries(),)
     attempts = [0] * total
-    progress = [sum(1 for value in results if value is not _UNSET)]
-    crash_counts = journal.crash_counts() if journal is not None else {}
+    progress = [0]
     pid_dir = (
         tempfile.mkdtemp(prefix="repro-harness-")
-        if (timeout is not None or journal is not None)
+        if timeout is not None
         else None
     )
     try:
         while True:
             todo = [i for i in range(total) if results[i] is _UNSET]
-            if journal is not None:
-                for index in todo:
-                    if crash_counts.get(index, 0) < MAX_TASK_CRASHES:
-                        continue
-                    # Watchdog: this task keeps taking pools down with
-                    # it.  Run it serially in the parent — with its
-                    # checkpoint directory, so even repeated deaths of
-                    # the whole invocation make forward progress.
-                    if log is not None:
-                        log(demotion_reason(labels[index], crash_counts[index]))
-                    value = _call_with_checkpoint_dir(
-                        fn, tasks[index], journal.checkpoint_dir(index)
-                    )
-                    journal.record(index, labels[index], value, traced=traced)
-                    results[index] = value
-                    progress[0] += 1
-                    if log is not None:
-                        log(f"[{progress[0]}/{total}] {labels[index]}")
-                todo = [i for i in todo if results[i] is _UNSET]
             if not todo:
                 return
             pool = ProcessPoolExecutor(
@@ -911,7 +771,6 @@ def _run_pool(
                 _pool_generation(
                     pool, fn, tasks, labels, jobs, log, timeout, retries,
                     results, attempts, todo, pid_dir, progress,
-                    journal, traced,
                 )
                 return
             except _StragglersKilled:
@@ -923,12 +782,6 @@ def _run_pool(
                         f"rebuilding worker pool for {remaining} "
                         f"unfinished task(s)"
                     )
-            except _PoolBroken as exc:
-                for index in exc.indices:
-                    crash_counts[index] = crash_counts.get(index, 0) + 1
-                    journal.note_crash(index, labels[index])
-                if log is not None:
-                    log(pool_death_reason(labels[i] for i in exc.indices))
     finally:
         if pid_dir is not None:
             shutil.rmtree(pid_dir, ignore_errors=True)
@@ -948,8 +801,6 @@ def _pool_generation(
     todo: list,
     pid_dir: Optional[str],
     progress: list,
-    journal: Optional[RunJournal] = None,
-    traced: bool = False,
 ) -> None:
     """Run the *todo* task indices through *pool*, filling *results*."""
     total = len(tasks)
@@ -965,12 +816,7 @@ def _pool_generation(
                 os.unlink(pid_path)
             except OSError:
                 pass
-            ckpt_dir = (
-                journal.checkpoint_dir(index) if journal is not None else None
-            )
-            future = pool.submit(
-                _traced_call, (fn, tasks[index], pid_path, ckpt_dir)
-            )
+            future = pool.submit(_traced_call, (fn, tasks[index], pid_path))
         else:
             future = pool.submit(fn, tasks[index])
         index_of[future] = index
@@ -1005,14 +851,12 @@ def _pool_generation(
                     value = future.result()
                 except BrokenProcessPool as exc:
                     # This future died with the pool.  Keep collecting
-                    # (and journaling) the siblings that genuinely
-                    # finished in the same batch before giving up, so
-                    # their results are never recomputed.
+                    # the siblings that genuinely finished in the same
+                    # batch before giving up, so the serial rerun never
+                    # recomputes them.
                     pool_error = exc
                     continue
                 results[index] = value
-                if journal is not None:
-                    journal.record(index, labels[index], value, traced=traced)
                 progress[0] += 1
                 if log is not None:
                     log(f"[{progress[0]}/{total}] {labels[index]}")
@@ -1058,21 +902,6 @@ def _pool_generation(
                         raise _StragglersKilled()
                     submit(index)
             submit_up_to(2 * jobs)
-    except BrokenProcessPool as exc:
-        pool.shutdown(wait=False, cancel_futures=True)
-        if journal is None:
-            raise
-        # Blame the tasks that were actually running: _traced_call
-        # removes a task's pid file on completion, so an incomplete task
-        # with a lingering pid file had a worker die under it.
-        blamed = sorted(
-            index
-            for index in range(total)
-            if results[index] is _UNSET and _has_pid_file(pid_dir, index)
-        )
-        if not blamed:
-            raise
-        raise _PoolBroken(blamed) from exc
     except BaseException:
         pool.shutdown(wait=False, cancel_futures=True)
         raise

@@ -67,8 +67,8 @@ MAGIC = b"REPROCKPT1\n"
 CHECKPOINT_VERSION = 1
 DEFAULT_CHECKPOINT_INTERVAL = 10.0
 
-#: Environment variables through which the harness hands each task its
-#: checkpoint directory and cadence (see ``run_tasks`` and
+#: Environment variables through which broker workers hand each task
+#: its checkpoint directory and cadence (see ``broker.worker_loop`` and
 #: ``runner.run_technique_point``).
 TASK_CHECKPOINT_DIR_ENV = "REPRO_TASK_CHECKPOINT_DIR"
 CHECKPOINT_INTERVAL_ENV = "REPRO_CHECKPOINT_INTERVAL"
@@ -336,9 +336,9 @@ def task_checkpoint_dir(directory, ref: Optional[str] = None):
     :data:`TASK_CHECKPOINT_REF_ENV` — a stable content name (the
     broker's task key) under which snapshots are shared through the
     artifact store.  The previous values are restored on exit, so
-    nested scopes (a broker worker running a journaled task) unwind
-    cleanly.  Both the sweep harness and the broker worker loop wrap
-    each task in this scope.
+    nested scopes unwind cleanly.  The broker worker loop and the
+    harness's in-parent rescue of quarantined broker tasks wrap each
+    task in this scope.
     """
     previous = os.environ.get(TASK_CHECKPOINT_DIR_ENV)
     previous_ref = os.environ.get(TASK_CHECKPOINT_REF_ENV)
@@ -365,10 +365,10 @@ def task_checkpoint_manager(
 ) -> Optional[CheckpointManager]:
     """The manager a harness task should checkpoint through, if any.
 
-    ``run_tasks`` points :data:`TASK_CHECKPOINT_DIR_ENV` at a per-task
-    directory while a journaled task runs; checkpoint-aware point
+    A broker-backed sweep points :data:`TASK_CHECKPOINT_DIR_ENV` at a
+    per-task directory while the task runs; checkpoint-aware point
     functions call this to pick the manager up.  Returns ``None`` when
-    the task is not running under a journaled sweep.
+    the task is not running under a broker.
 
     Args:
         subdir: optional subdirectory under the task's checkpoint

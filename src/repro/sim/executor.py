@@ -776,8 +776,8 @@ class Simulation:
             self._core_idle_since[core_id] = now
             self._core_stall_frac[core_id] = 0.0
             return
-        # The _run_quantum dispatch and the proc.finished property chain
-        # are inlined here: both run once per quantum.
+        # The flat/stepped quantum dispatch and the proc.finished
+        # property chain are inlined here: both run once per quantum.
         cursor = proc.cursor
         if self.batched and cursor.__class__ is FlatCursor:
             # Most quanta resume mid-step and end inside that same step.
@@ -1335,12 +1335,6 @@ class Simulation:
         return ran
 
     # -- quantum execution -------------------------------------------------------
-
-    def _run_quantum(self, core_id: int, proc: SimProcess, start: float) -> float:
-        cursor = proc.cursor
-        if self.batched and cursor.__class__ is FlatCursor:
-            return self._run_quantum_flat(core_id, proc, start, cursor)
-        return self._run_quantum_stepped(core_id, proc, start)
 
     def _run_quantum_stepped(
         self, core_id: int, proc: SimProcess, start: float

@@ -1,14 +1,12 @@
 """One taxonomy of terminal job states.
 
-Three subsystems retire jobs for reasons other than success, and before
-this module each invented its own prose: the sweep broker reclaimed
-expired leases and quarantined poison tasks, the harness blamed tasks
-for worker-pool deaths and demoted them to serial execution, and the
-open-system engine cancels simulated jobs while they wait or run.  The
-strings land in durable places — the broker's ``events`` audit table,
-``RunJournal`` records, telemetry args — so drift between them makes
-post-mortems needlessly hard ("lease expired" vs "worker died" vs
-"blamed").
+Two subsystems retire jobs for reasons other than success, and before
+this module each invented its own prose: the sweep broker reclaims
+expired leases and quarantines poison tasks, and the open-system
+engine cancels simulated jobs while they wait or run.  The strings land
+in durable places — the broker's ``events`` audit table, telemetry
+args — so drift between them makes post-mortems needlessly hard
+("lease expired" vs "worker died").
 
 Every terminal reason is now ``"<state>: <detail>"`` where ``<state>``
 is one of the :data:`TERMINAL_STATES` below, and every emitter builds
@@ -24,14 +22,11 @@ __all__ = [
     "CANCELLED",
     "FAILED",
     "LEASE_EXPIRED",
-    "POOL_DEATH",
     "TERMINAL_STATES",
     "broker_down_reason",
     "cancelled_reason",
-    "demotion_reason",
     "failed_reason",
     "lease_expired_reason",
-    "pool_death_reason",
     "state_of",
 ]
 
@@ -50,13 +45,9 @@ FAILED = "failed"
 #: broker reclaimed the task for re-offer (or quarantine).
 LEASE_EXPIRED = "lease-expired"
 
-#: A worker pool died underneath a task; the harness blames the tasks
-#: that were in flight and may demote them to serial execution.
-POOL_DEATH = "pool-death"
-
 #: Every terminal state a reason string may carry.
 TERMINAL_STATES = frozenset(
-    {BROKER_DOWN, CANCELLED, FAILED, LEASE_EXPIRED, POOL_DEATH}
+    {BROKER_DOWN, CANCELLED, FAILED, LEASE_EXPIRED}
 )
 
 
@@ -88,21 +79,6 @@ def cancelled_reason(scope: str) -> str:
     cancellation fired).
     """
     return f"{CANCELLED}: {scope}"
-
-
-def pool_death_reason(blamed) -> str:
-    """Reason logged when a worker pool dies with tasks in flight."""
-    names = ", ".join(str(label) for label in blamed)
-    return f"{POOL_DEATH}: worker pool died; blaming task(s): {names}"
-
-
-def demotion_reason(label, crashes: int) -> str:
-    """Reason logged when a repeatedly-blamed task is demoted to serial
-    execution."""
-    return (
-        f"{POOL_DEATH}: task {label} blamed for {crashes} pool death(s); "
-        f"demoting to serial execution"
-    )
 
 
 def state_of(reason: str) -> str:

@@ -232,6 +232,23 @@ def test_replay_verifies_digests(tmp_path):
     assert len(broker.replay(sweep)) == 1
 
 
+def test_replay_skips_other_traced_shape(tmp_path):
+    """Traced sweeps record ``(value, blob)`` wrappers; a replay asking
+    for the other shape must not see them (wrong type)."""
+    broker = Broker(tmp_path)
+    sweep = broker.enqueue(_square, [1, 2])
+    broker.complete(broker.claim("w1"), 1, traced=False)
+    broker.complete(broker.claim("w1"), (4, b"blob"), traced=True)
+    assert broker.replay(sweep, traced=False) == {0: 1}
+    assert broker.replay(sweep, traced=True) == {1: (4, b"blob")}
+
+
+def test_checkpoint_dir_layout(tmp_path):
+    broker = Broker(tmp_path / "q")
+    key = task_key(_square, 4)
+    assert broker.checkpoint_dir(key) == str(tmp_path / "q" / "ckpt" / key)
+
+
 def test_drop_results_forces_recompute(tmp_path):
     broker = Broker(tmp_path)
     sweep = broker.enqueue(_square, [3])
@@ -359,6 +376,40 @@ def test_run_tasks_broker_replays_instantly(tmp_path):
     )
     assert again == [1, 4]
     assert any("already complete" in line for line in logs)
+
+
+def _counted_square(task):
+    """Squares *value* and leaves one marker file per computation, so a
+    test can tell a replay from a recompute."""
+    import pathlib
+
+    value, marker_dir = task
+    marker = pathlib.Path(marker_dir) / f"computed-{value}"
+    with open(marker, "a") as fh:
+        fh.write("x")
+    return value * value
+
+
+def _computations(marker_dir) -> int:
+    return sum(len(p.read_text()) for p in marker_dir.glob("computed-*"))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_skips_recorded_results(tmp_path, jobs):
+    markers = tmp_path / "markers"
+    markers.mkdir()
+    tasks = [(value, str(markers)) for value in (1, 2, 3, 4)]
+    out = run_tasks(_counted_square, tasks, jobs=jobs, broker_dir=tmp_path / "q")
+    assert out == [1, 4, 9, 16]
+    assert _computations(markers) == 4
+    logs = []
+    again = run_tasks(
+        _counted_square, tasks, jobs=jobs, broker_dir=tmp_path / "q",
+        log=logs.append,
+    )
+    assert again == out
+    assert _computations(markers) == 4  # nothing recomputed
+    assert "broker: 4 of 4 task(s) already complete" in logs
 
 
 def test_run_tasks_broker_env_routing(tmp_path, monkeypatch):

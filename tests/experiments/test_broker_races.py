@@ -51,6 +51,17 @@ def _slow_first_attempt(task):
     return value * value
 
 
+def _kill_worker(task):
+    """The ``"victim"`` task SIGKILLs whichever broker worker claims
+    it and returns normally only in the parent (the rescue after
+    quarantine); every other task just returns."""
+    if task == "victim" and multiprocessing.current_process().name != (
+        "MainProcess"
+    ):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return f"done:{task}"
+
+
 def _worker_process(directory, lease_ttl):
     worker_loop(directory, lease_ttl=lease_ttl, backoff_base=0.0)
 
@@ -178,6 +189,25 @@ def test_chaos_kill_one_of_two_workers_mid_sweep(tmp_path):
             pickle.dumps(value * value, protocol=pickle.HIGHEST_PROTOCOL)
         ).hexdigest()
         assert digests[repr((value, nap))] == want
+
+
+def test_worker_killing_task_is_quarantined_then_rescued(tmp_path, monkeypatch):
+    """A task that kills every worker that claims it burns its attempt
+    budget through lease expiry, is quarantined, and then runs serially
+    in the parent; its siblings finish normally on the workers."""
+    from repro.experiments.harness import run_tasks
+
+    monkeypatch.setenv("REPRO_LEASE_TTL", "0.3")
+    monkeypatch.setenv("REPRO_BACKOFF_BASE", "0")
+    logs = []
+    out = run_tasks(
+        _kill_worker, ["a", "victim", "b"], jobs=2, broker_dir=tmp_path,
+        log=logs.append,
+    )
+    assert out == ["done:a", "done:victim", "done:b"]
+    rescues = [line for line in logs if line.startswith("[rescue ")]
+    assert len(rescues) == 1, logs
+    assert "victim" in rescues[0] and "lease-expired" in rescues[0]
 
 
 # -- property: completion interleavings -------------------------------------

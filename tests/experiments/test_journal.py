@@ -1,256 +1,165 @@
-"""Durable-sweep journal tests: crash-safe ``run_tasks`` progress.
+"""Durable-sweep record/replay tests on the broker that backs run dirs.
 
-Covers the :class:`~repro.experiments.journal.RunJournal` record/replay
-contract (digest-verified result files, torn-line tolerance, records
-salvaged from concurrent-writer interleaving), the ``run_tasks``
-integration (journaled tasks
-skipped on rerun, pool deaths blamed through pid files, repeat
-offenders demoted to serial-in-parent), and the :func:`set_run_root`
-auto-journal numbering the ``resume`` CLI verb relies on.
+A ``--run-dir DIR`` sweep runs on the SQLite broker at ``DIR/broker``,
+so the record/replay contract of a durable sweep is the broker's:
+results recorded by one instance replay from a fresh one, a result
+file that is missing or fails its digest check is recomputed rather
+than returned wrong, and ``run_tasks`` recomputes only the tasks
+without a verified result.  The pool's serial fallback after a worker
+death, with no durable directory at all, is covered here too.
 """
 
-import json
 import multiprocessing
 import os
-import pathlib
+import pickle
 import signal
 
-from repro.experiments import harness
+from repro.experiments.broker import BROKER_DIR_ENV, Broker, task_key
 from repro.experiments.harness import run_tasks
-from repro.experiments.journal import MAX_TASK_CRASHES, RunJournal
 
 
-# Module level so the parallel path can pickle them by reference.
+# Module level so the parallel and broker paths can pickle them by
+# reference.
 def _square(task):
     return task * task
 
 
-def _boom(task):
-    raise ValueError(f"task {task} exploded")
+def _counted_square(task):
+    """Squares *value* and leaves one marker per computation, so a test
+    can tell a replay from a recompute."""
+    import pathlib
 
-
-def _kill_twice(task):
-    """SIGKILL the worker on the first ``MAX_TASK_CRASHES`` attempts.
-
-    Attempts are counted in a marker file so the count survives the
-    worker's death; once demoted to serial-in-parent the function runs
-    in MainProcess and must *not* kill (that would kill pytest).
-    """
     value, marker_dir = task
-    if value == "victim" and multiprocessing.current_process().name != (
+    with open(pathlib.Path(marker_dir) / f"computed-{value}", "a") as fh:
+        fh.write("x")
+    return value * value
+
+
+def _computations(marker_dir) -> dict:
+    return {
+        int(p.name.split("-", 1)[1]): len(p.read_text())
+        for p in marker_dir.glob("computed-*")
+    }
+
+
+def _kill_worker(task):
+    """SIGKILL the pool worker running ``"victim"``; in the parent (the
+    serial fallback) every task just completes."""
+    if task == "victim" and multiprocessing.current_process().name != (
         "MainProcess"
     ):
-        marker = pathlib.Path(marker_dir) / "attempts"
-        tries = int(marker.read_text()) if marker.exists() else 0
-        marker.write_text(str(tries + 1))
-        if tries < MAX_TASK_CRASHES:
-            os.kill(os.getpid(), signal.SIGKILL)
-    return f"done:{value}"
+        os.kill(os.getpid(), signal.SIGKILL)
+    return f"done:{task}"
 
 
-# -- RunJournal record/replay ---------------------------------------------------
+def _recorded_sweep(tmp_path, values):
+    """Run a broker-backed sweep of ``_counted_square`` over *values*;
+    returns ``(tasks, broker dir, marker dir, results)``."""
+    markers = tmp_path / "markers"
+    markers.mkdir()
+    qdir = tmp_path / "q"
+    tasks = [(value, str(markers)) for value in values]
+    out = run_tasks(_counted_square, tasks, jobs=1, broker_dir=qdir)
+    return tasks, qdir, markers, out
+
+
+def _result_file(qdir, fn, task):
+    (path,) = (qdir / "results").glob(f"{task_key(fn, task)}-*.pkl")
+    return path
+
+
+# -- record/replay --------------------------------------------------------------
 
 
 def test_record_and_replay_roundtrip(tmp_path):
-    journal = RunJournal(tmp_path / "sweep")
-    journal.record(0, "a", {"ipc": 1.5})
-    journal.record(2, "c", [1, 2, 3])
-    assert journal.completed_results() == {0: {"ipc": 1.5}, 2: [1, 2, 3]}
+    broker = Broker(tmp_path / "sweep")
+    sweep = broker.enqueue(_square, [1, 2, 3])
+    first, _second, third = (broker.claim("w1") for _ in range(3))
+    broker.complete(first, {"ipc": 1.5})
+    broker.complete(third, [1, 2, 3])
+    assert broker.replay(sweep) == {0: {"ipc": 1.5}, 2: [1, 2, 3]}
     # A fresh instance reads the same state back from disk.
-    assert RunJournal(tmp_path / "sweep").completed_results() == {
+    assert Broker(tmp_path / "sweep").replay(sweep) == {
         0: {"ipc": 1.5},
         2: [1, 2, 3],
     }
 
 
 def test_rerecord_overwrites(tmp_path):
-    journal = RunJournal(tmp_path)
-    journal.record(0, "a", "first")
-    journal.record(0, "a", "second")
-    assert journal.completed_results() == {0: "second"}
-
-
-def test_traced_shape_filtering(tmp_path):
-    """Results journaled under tracing carry ``(value, blob)`` wrappers;
-    a rerun with the other tracing mode must not see them (wrong type)."""
-    journal = RunJournal(tmp_path)
-    journal.record(0, "plain", 42, traced=False)
-    journal.record(1, "traced", (43, b"blob"), traced=True)
-    assert journal.completed_results(traced=False) == {0: 42}
-    assert journal.completed_results(traced=True) == {1: (43, b"blob")}
-
-
-def test_torn_tail_is_tolerated(tmp_path):
-    journal = RunJournal(tmp_path)
-    journal.record(0, "a", "ok")
-    journal.record(1, "b", "gone")
-    text = journal.journal_path.read_text()
-    lines = text.rstrip("\n").split("\n")
-    # Tear the last record mid-append, as SIGKILL would.
-    lines[-1] = lines[-1][: len(lines[-1]) // 2]
-    journal.journal_path.write_text("\n".join(lines))
-    assert RunJournal(tmp_path).completed_results() == {0: "ok"}
-
-
-def test_corrupt_middle_line_skipped(tmp_path):
-    """A torn record anywhere (not just the tail) is skipped, never
-    allowed to shadow the good records around it."""
-    journal = RunJournal(tmp_path)
-    journal.record(0, "a", "ok")
-    journal.record(1, "b", "ok")
-    lines = journal.journal_path.read_text().rstrip("\n").split("\n")
-    lines[0] = lines[0][:10]
-    journal.journal_path.write_text("\n".join(lines) + "\n")
-    assert RunJournal(tmp_path).completed_results() == {1: "ok"}
-
-
-def test_interleaved_fragment_does_not_shadow_next_record(tmp_path):
-    """A concurrent writer dying mid-append leaves a fragment with no
-    newline; the next record lands on the same line.  The intact
-    suffix is salvaged — the fragment costs nothing."""
-    journal = RunJournal(tmp_path)
-    journal.record(0, "a", "first")
-    with open(journal.journal_path, "a", encoding="utf-8") as fh:
-        fh.write('{"kind": "resu')  # torn, unterminated
-    journal.record(1, "b", "second")
-    assert RunJournal(tmp_path).completed_results() == {
-        0: "first",
-        1: "second",
-    }
-
-
-def test_garbage_line_skipped(tmp_path):
-    journal = RunJournal(tmp_path)
-    journal.record(0, "a", "kept")
-    with open(journal.journal_path, "a", encoding="utf-8") as fh:
-        fh.write("not json at all\n")
-    journal.record(1, "b", "also kept")
-    assert journal.completed_results() == {0: "kept", 1: "also kept"}
+    """Once a result is dropped, the next recording replaces it."""
+    broker = Broker(tmp_path)
+    sweep = broker.enqueue(_square, [1])
+    broker.complete(broker.claim("w1"), "first")
+    assert broker.drop_results(sweep) == 1
+    broker.complete(broker.claim("w1"), "second")
+    assert broker.replay(sweep) == {0: "second"}
+    assert Broker(tmp_path).replay(sweep) == {0: "second"}
 
 
 def test_fsync_off_still_records(tmp_path):
-    journal = RunJournal(tmp_path, fsync=False)
-    assert journal.fsync is False
-    journal.record(0, "a", 7)
-    assert RunJournal(tmp_path).completed_results() == {0: 7}
+    broker = Broker(tmp_path, fsync=False)
+    assert broker.fsync is False
+    sweep = broker.enqueue(_square, [7])
+    broker.complete(broker.claim("w1"), 49)
+    assert Broker(tmp_path).replay(sweep) == {0: 49}
+
+
+# -- run_tasks on a recorded sweep ----------------------------------------------
 
 
 def test_digest_mismatch_forces_rerun(tmp_path):
-    journal = RunJournal(tmp_path)
-    journal.record(0, "a", "trusted")
-    journal.record(1, "b", "rotted")
-    path = tmp_path / "results" / "task-00001.pkl"
+    tasks, qdir, markers, out = _recorded_sweep(tmp_path, [3, 4])
+    assert out == [9, 16]
+    path = _result_file(qdir, _counted_square, tasks[1])
     payload = bytearray(path.read_bytes())
     payload[len(payload) // 2] ^= 0x40
     path.write_bytes(bytes(payload))
-    # The rotted result is silently absent — never returned wrong.
-    assert journal.completed_results() == {0: "trusted"}
+    # The rotted result is recomputed, never returned wrong.
+    again = run_tasks(_counted_square, tasks, jobs=1, broker_dir=qdir)
+    assert again == [9, 16]
+    assert _computations(markers) == {3: 1, 4: 2}
 
 
 def test_missing_result_file_forces_rerun(tmp_path):
-    journal = RunJournal(tmp_path)
-    journal.record(0, "a", "kept")
-    journal.record(1, "b", "lost")
-    (tmp_path / "results" / "task-00001.pkl").unlink()
-    assert journal.completed_results() == {0: "kept"}
-
-
-def test_crash_counts(tmp_path):
-    journal = RunJournal(tmp_path)
-    journal.note_crash(3, "fig6 point 3")
-    journal.note_crash(3, "fig6 point 3")
-    journal.note_crash(7)
-    assert journal.crash_counts() == {3: 2, 7: 1}
-
-
-def test_checkpoint_dir_layout(tmp_path):
-    journal = RunJournal(tmp_path / "sweep")
-    assert journal.checkpoint_dir(4) == str(
-        tmp_path / "sweep" / "ckpt" / "task-00004"
-    )
-
-
-# -- run_tasks integration ------------------------------------------------------
-
-
-def test_pool_sweep_skips_journaled_results(tmp_path):
-    jdir = tmp_path / "sweep"
-    out = run_tasks(_square, [1, 2, 3, 4], jobs=2, journal=jdir)
-    assert out == [1, 4, 9, 16]
-    logs = []
-    # _boom in place of _square: if anything recomputed, it would raise.
-    again = run_tasks(_boom, [1, 2, 3, 4], jobs=2, journal=jdir, log=logs.append)
-    assert again == out
-    assert any("4 of 4" in line for line in logs)
-
-
-def test_serial_sweep_skips_journaled_results(tmp_path):
-    jdir = tmp_path / "sweep"
-    assert run_tasks(_square, [5, 6], jobs=1, journal=jdir) == [25, 36]
-    logs = []
-    assert run_tasks(_boom, [5, 6], jobs=1, journal=jdir, log=logs.append) == [
-        25,
-        36,
-    ]
-    assert all("(journaled)" in line for line in logs)
+    tasks, qdir, markers, out = _recorded_sweep(tmp_path, [5, 6])
+    _result_file(qdir, _counted_square, tasks[1]).unlink()
+    again = run_tasks(_counted_square, tasks, jobs=1, broker_dir=qdir)
+    assert again == out == [25, 36]
+    assert _computations(markers) == {5: 1, 6: 2}
+    # The recomputed result is recorded again: a third run replays it.
+    assert run_tasks(_counted_square, tasks, jobs=1, broker_dir=qdir) == out
+    assert _computations(markers) == {5: 1, 6: 2}
 
 
 def test_partial_journal_recomputes_only_missing(tmp_path):
-    jdir = tmp_path / "sweep"
-    journal = RunJournal(jdir)
-    journal.record(1, "pre", 99)
-    out = run_tasks(_square, [1, 2, 3], jobs=1, journal=jdir)
-    # Task 1's journaled value wins; the others were computed.
+    markers = tmp_path / "markers"
+    markers.mkdir()
+    qdir = tmp_path / "q"
+    tasks = [(value, str(markers)) for value in (1, 2, 3)]
+    broker = Broker(qdir)
+    sweep = broker.enqueue(_counted_square, tasks)
+    broker.complete_raw(
+        sweep, 1, task_key(_counted_square, tasks[1]), repr(tasks[1]),
+        "pre", pickle.dumps(99),
+    )
+    out = run_tasks(_counted_square, tasks, jobs=1, broker_dir=qdir)
+    # Task 1's recorded value wins; the others were computed.
     assert out == [1, 99, 9]
+    assert _computations(markers) == {1: 1, 3: 1}
 
 
 def test_journal_path_accepts_plain_directory(tmp_path):
-    out = run_tasks(_square, [3], jobs=1, journal=str(tmp_path / "j"))
+    out = run_tasks(_square, [3], jobs=1, broker_dir=str(tmp_path / "j"))
     assert out == [9]
-    assert (tmp_path / "j" / "journal.jsonl").exists()
+    assert (tmp_path / "j" / "queue.db").exists()
+    assert len(list((tmp_path / "j" / "results").glob("*.pkl"))) == 1
 
 
-def test_pool_death_blamed_then_demoted_to_serial(tmp_path):
-    """A task that kills its worker ``MAX_TASK_CRASHES`` times is blamed
-    through its pid file each time, then demoted to serial-in-parent —
-    the sweep still completes with correct results."""
-    jdir = tmp_path / "sweep"
-    logs = []
-    tasks = [("a", str(tmp_path)), ("victim", str(tmp_path)), ("b", str(tmp_path))]
-    out = run_tasks(_kill_twice, tasks, jobs=2, journal=jdir, log=logs.append)
-    assert out == ["done:a", "done:victim", "done:b"]
-    text = "\n".join(logs)
-    assert "blaming task(s)" in text
-    assert "demoting to serial" in text
-    assert RunJournal(jdir).crash_counts() == {1: MAX_TASK_CRASHES}
-
-
-def test_pool_death_without_journal_still_completes(tmp_path):
-    """Journal-free behaviour is unchanged: survivors rerun serially."""
-    tasks = [("a", str(tmp_path)), ("b", str(tmp_path))]
-    assert run_tasks(_kill_twice, tasks, jobs=2) == ["done:a", "done:b"]
-
-
-# -- set_run_root auto-journaling -----------------------------------------------
-
-
-def test_run_root_numbers_sweeps(tmp_path):
-    root = tmp_path / "run"
-    harness.set_run_root(root)
-    try:
-        run_tasks(_square, [1], jobs=1)
-        run_tasks(_square, [2, 3], jobs=1)
-    finally:
-        harness.set_run_root(None)
-    assert (root / "sweep-0000" / "journal.jsonl").exists()
-    assert (root / "sweep-0001" / "journal.jsonl").exists()
-    first = [
-        json.loads(line)
-        for line in (root / "sweep-0000" / "journal.jsonl").read_text().splitlines()
+def test_pool_death_without_journal_still_completes(monkeypatch):
+    """With no durable directory, a worker death costs nothing but a
+    serial rerun of the unfinished tasks."""
+    monkeypatch.delenv(BROKER_DIR_ENV, raising=False)
+    tasks = ["a", "victim", "b"]
+    assert run_tasks(_kill_worker, tasks, jobs=2) == [
+        "done:a", "done:victim", "done:b",
     ]
-    assert [r["kind"] for r in first] == ["result"]
-
-
-def test_run_root_off_by_default(tmp_path):
-    run_tasks(_square, [1], jobs=1)
-    assert list(tmp_path.iterdir()) == []
