@@ -121,8 +121,8 @@ class ExperimentError(ReproError):
 
 
 class TaskTimeoutError(ExperimentError):
-    """Raised when a harness task exceeds its per-task timeout and no
-    retries remain."""
+    """Raised when a harness task attempt exceeds its per-task deadline
+    (surfacing from ``run_tasks`` once no retries remain)."""
 
 
 class BrokerError(ExperimentError):

@@ -378,10 +378,10 @@ def _parse_args(argv):
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-task wall-clock budget (default: REPRO_TASK_TIMEOUT, "
-        "else none); over-budget pool workers are SIGKILLed and the task "
-        "resubmitted, broker workers let the lease lapse so the task is "
-        "re-offered",
+        help="per-task wall-clock budget, measured from task start "
+        "(default: REPRO_TASK_TIMEOUT, else none); enforced on every "
+        "backend: a hung attempt ends in TaskTimeoutError and is retried "
+        "while --task-retries (broker: its attempt budget) remain",
     )
     parser.add_argument(
         "--task-retries",
@@ -766,7 +766,6 @@ def _cmd_work(args) -> None:
             completed = worker_loop(
                 directory,
                 task_timeout=timeout,
-                timeout_kills=True,
                 drain=not args.forever,
                 log=log if args.log else None,
             )
@@ -782,7 +781,6 @@ def _cmd_work(args) -> None:
             args=(directory,),
             kwargs=dict(
                 task_timeout=timeout,
-                timeout_kills=True,
                 drain=not args.forever,
             ),
         )

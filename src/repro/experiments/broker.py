@@ -59,7 +59,6 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import signal
 import socket
 import sqlite3
 import threading
@@ -1149,20 +1148,12 @@ def connect(
 
 
 class _Heartbeat(threading.Thread):
-    """Renews one lease until stopped; optionally enforces a per-task
-    wall budget by SIGKILLing its own process (the lease then expires
-    and the task is re-offered elsewhere — the broker-backend analogue
-    of the pool path's straggler SIGKILL)."""
+    """Renews one lease until stopped or lost."""
 
-    def __init__(self, broker, lease, task_timeout, timeout_kills):
+    def __init__(self, broker, lease):
         super().__init__(daemon=True)
         self.broker = broker
         self.lease = lease
-        self.task_timeout = task_timeout
-        self.timeout_kills = timeout_kills
-        self.started_at = time.monotonic()
-        self.lost = False
-        self.timed_out = False
         self._halt = threading.Event()
 
     def stop(self) -> None:
@@ -1172,18 +1163,9 @@ class _Heartbeat(threading.Thread):
     def run(self) -> None:
         interval = self.broker.lease_ttl / 3.0
         while not self._halt.wait(interval):
-            if (
-                self.task_timeout is not None
-                and time.monotonic() - self.started_at >= self.task_timeout
-            ):
-                self.timed_out = True
-                if self.timeout_kills:
-                    os.kill(os.getpid(), signal.SIGKILL)
-                return  # stop renewing; the lease expires and reclaims
             try:
                 self.broker.heartbeat(self.lease)
             except LeaseLostError:
-                self.lost = True
                 return
             except Exception:
                 # A transient DB hiccup: keep trying while the lease
@@ -1198,7 +1180,6 @@ def worker_loop(
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     backoff_base: Optional[float] = None,
     task_timeout: Optional[float] = None,
-    timeout_kills: bool = False,
     poll_interval: float = 0.2,
     drain: bool = True,
     max_tasks: Optional[int] = None,
@@ -1210,10 +1191,12 @@ def worker_loop(
 
     The core of the ``work`` CLI verb and of the local workers the
     harness's broker backend spawns.  Each claimed task runs under a
-    heartbeat thread renewing the lease at a third of its TTL and with
-    its checkpoint directory exported; an exception inside the point
-    function reports :meth:`Broker.fail` (backed-off re-offer, then
-    quarantine) instead of killing the loop.
+    heartbeat thread renewing the lease at a third of its TTL, with its
+    checkpoint directory exported and under *task_timeout*; an
+    exception inside the point function — a
+    :class:`~repro.errors.TaskTimeoutError` included — reports
+    :meth:`Broker.fail` (backed-off re-offer, then quarantine) instead
+    of killing the loop.
 
     Over the HTTP transport the loop degrades instead of crashing: an
     unreachable server is polled (cheaply — the transport's breaker
@@ -1225,10 +1208,10 @@ def worker_loop(
 
     Args:
         worker: worker identity for leases (host:pid by default).
-        task_timeout: per-task wall budget; with *timeout_kills* the
-            worker SIGKILLs itself when exceeded (subprocess workers
-            only!), otherwise it just stops heartbeating so the task is
-            reclaimed while the local attempt burns out.
+        task_timeout: per-attempt wall budget in seconds, measured
+            from task start (see
+            :func:`~repro.experiments.harness.run_with_deadline`; not
+            armed when the loop runs off the main thread).
         drain: return once no task is runnable or running anywhere in
             the queue; ``False`` keeps serving until interrupted.
         max_tasks: stop after this many completed claims (tests).
@@ -1262,6 +1245,7 @@ def worker_loop(
     # Warm the pipeline cache from the shared store (when configured)
     # before claiming anything: a sweep point then reuses the fleet's
     # static-pipeline products instead of recomputing them per worker.
+    from repro.experiments.harness import run_with_deadline
     from repro.tuning.pipeline import default_cache
 
     prefetched = default_cache().warm_from_store()
@@ -1313,7 +1297,7 @@ def worker_loop(
                 f"worker {worker}: claimed {lease.label} "
                 f"(attempt {lease.attempt})"
             )
-        heartbeat = _Heartbeat(broker, lease, task_timeout, timeout_kills)
+        heartbeat = _Heartbeat(broker, lease)
         heartbeat.start()
         started = time.perf_counter()
         try:
@@ -1323,7 +1307,7 @@ def worker_loop(
             # checkpoint even on a host with an empty ckpt/ directory.
             with task_checkpoint_dir(broker.checkpoint_dir(lease.key),
                                      ref=lease.key):
-                value = fn(task)
+                value = run_with_deadline(fn, task_timeout, task)
         except BaseException as exc:
             heartbeat.stop()
             try:

@@ -31,6 +31,11 @@ start method sees a warm cache.
 base seed with the task's identifying parts decorrelates tasks without
 coupling any task's seed to how many tasks run or in what order.
 
+``timeout=`` (``--task-timeout``) is one policy on every backend:
+:func:`run_with_deadline` runs each task attempt under a ``SIGALRM``
+deadline measured from task start, so a hung task interrupts itself
+and ends in :class:`~repro.errors.TaskTimeoutError`, wherever it runs.
+
 Durable sweeps
 ==============
 
@@ -55,10 +60,10 @@ import functools
 import hashlib
 import multiprocessing
 import os
-import shutil
 import signal
-import tempfile
+import threading
 import time
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Optional, Sequence
@@ -145,6 +150,94 @@ def resolve_retries(retries: Optional[int]) -> int:
     return _env_number(TASK_RETRIES_ENV, int, 0)
 
 
+class _DeadlineExpired(BaseException):
+    """Private: raised by the ``SIGALRM`` handler inside a task whose
+    deadline passed.  A ``BaseException`` so the ``except Exception``
+    handlers on the task path (pipeline-cache decode, checkpoint load)
+    can neither swallow it nor count it as corruption;
+    :func:`run_with_deadline` turns it into :class:`TaskTimeoutError`
+    at the task boundary."""
+
+
+def _on_deadline(signum, frame):
+    raise _DeadlineExpired()
+
+
+def run_with_deadline(fn: Callable, timeout: Optional[float], task):
+    """``fn(task)`` under a wall-clock deadline of *timeout* seconds.
+
+    The deadline is a ``SIGALRM`` interval timer started with the call,
+    so it interrupts a hung task wherever the task runs: serially
+    in-process, in a pool worker, or in a broker worker.  On expiry
+    the task is abandoned with :class:`TaskTimeoutError`; the previous
+    ``SIGALRM`` handler and timer are restored either way.  Nothing is
+    armed when *timeout* is ``None``, off the main thread (signals are
+    only delivered there), or inside another deadline (the outer one
+    governs).
+    """
+    if (
+        timeout is None
+        or threading.current_thread() is not threading.main_thread()
+        or signal.getsignal(signal.SIGALRM) is _on_deadline
+    ):
+        return fn(task)
+    previous = signal.signal(signal.SIGALRM, _on_deadline)
+    outer_delay, outer_interval = signal.getitimer(signal.ITIMER_REAL)
+    started = time.monotonic()
+    try:
+        try:
+            signal.setitimer(signal.ITIMER_REAL, timeout)
+            return fn(task)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    except _DeadlineExpired:
+        raise TaskTimeoutError(
+            f"exceeded its {timeout:g}s deadline"
+        ) from None
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+        if outer_delay:
+            left = outer_delay - (time.monotonic() - started)
+            signal.setitimer(
+                signal.ITIMER_REAL, max(left, 1e-6), outer_interval
+            )
+
+
+def _retry_or_raise(
+    exc: TaskTimeoutError,
+    label: str,
+    attempt: int,
+    retries: int,
+    log: Optional[Callable],
+) -> None:
+    """Account for timed-out *attempt* of task *label*: log the retry
+    while *retries* remain, else raise the labelled timeout."""
+    if attempt > retries:
+        raise TaskTimeoutError(
+            f"task {label} {exc} (attempt {attempt}, retries={retries})"
+        ) from None
+    if log is not None:
+        log(f"task {label} {exc}; retry {attempt}/{retries}")
+
+
+def _call_retrying(
+    fn: Callable,
+    task,
+    label: str,
+    retries: int,
+    log: Optional[Callable],
+):
+    """``fn(task)`` in-process, rerun after a timeout while *retries*
+    remain."""
+    attempt = 0
+    while True:
+        try:
+            return fn(task)
+        except TaskTimeoutError as exc:
+            attempt += 1
+            _retry_or_raise(exc, label, attempt, retries, log)
+
+
 def derive_seed(base: int, *parts) -> int:
     """A stable 63-bit seed for one task of a sweep.
 
@@ -185,20 +278,20 @@ def run_tasks(
         labels: display names per task for *log*; repr of the task by
             default.
         timeout: per-task wall-clock budget in seconds, measured from
-            submission (give queueing headroom: a task may briefly wait
-            behind a sibling).  A task over budget is abandoned — and
-            its worker, identified through a per-task pid file, is
-            SIGKILLed so the slot is reclaimed — then resubmitted to a
-            rebuilt pool while *retries* remain.  Defaults to the
+            the start of each attempt and enforced on every backend by
+            :func:`run_with_deadline`: the task interrupts itself and
+            the attempt ends in :class:`TaskTimeoutError`.  Serial and
+            pool attempts are then rerun while *retries* remain; a
+            broker worker reports the attempt through
+            :meth:`~repro.experiments.broker.Broker.fail` like any
+            other failure.  Not armed off the main thread (an
+            in-thread caller runs unbounded).  Defaults to the
             ``REPRO_TASK_TIMEOUT`` environment variable (no timeout
-            when unset).  Not enforced on the serial path, which
-            cannot interrupt a call; broker workers enforce it by
-            letting their lease lapse (and, as subprocesses, killing
-            themselves) so the task is re-offered.
-        retries: resubmissions allowed per task after a timeout;
-            defaults to the ``REPRO_TASK_RETRIES`` environment
-            variable, else 0.  The pool path resubmits immediately;
-            the broker backend re-offers with exponential backoff
+            when unset).
+        retries: reruns allowed per task after a timeout; defaults to
+            the ``REPRO_TASK_RETRIES`` environment variable, else 0.
+            The serial and pool paths rerun immediately; the broker
+            backend re-offers with exponential backoff
             (``REPRO_BACKOFF_BASE`` seconds, doubling per attempt).
         start_method: multiprocessing start method for the pool
             (``fork`` / ``spawn`` / ``forkserver``); the platform
@@ -218,7 +311,8 @@ def run_tasks(
 
     Raises:
         TaskTimeoutError: a task exceeded *timeout* on its last allowed
-            attempt.
+            attempt (on the broker backend: in the parent's rescue run
+            after the task was quarantined).
         ExperimentError: invalid arguments.  Exceptions raised *inside*
             ``fn`` propagate unchanged.  If the worker pool itself dies
             (a worker killed by the OS), the surviving tasks are rerun
@@ -291,7 +385,10 @@ def run_tasks(
 
     jobs = min(worker_count(jobs), total)
     if jobs == 1:
-        return _run_serial(fn, tasks, labels, log, rec)
+        return _run_serial(
+            functools.partial(run_with_deadline, fn, timeout),
+            tasks, labels, log, rec, retries,
+        )
 
     traced = rec is not None
     if traced:
@@ -300,11 +397,11 @@ def run_tasks(
         # pattern); shipping the *parent's* recorder out would duplicate
         # every event already collected here.
         fn = functools.partial(_telemetry_task, fn, tuple(rec.categories))
+    fn = functools.partial(run_with_deadline, fn, timeout)
     results = [_UNSET] * total
     try:
         _run_pool(
-            fn, tasks, labels, jobs, log, timeout, retries, results,
-            start_method,
+            fn, tasks, labels, jobs, log, retries, results, start_method
         )
     except BrokenProcessPool:
         # A worker died without reporting an exception (OOM-killed,
@@ -320,7 +417,9 @@ def run_tasks(
                 f"unfinished task(s) serially"
             )
         for count, index in enumerate(incomplete):
-            results[index] = fn(tasks[index])
+            results[index] = _call_retrying(
+                fn, tasks[index], labels[index], retries, log
+            )
             if log is not None:
                 log(f"[serial {count + 1}/{len(incomplete)}] {labels[index]}")
     if traced:
@@ -339,6 +438,7 @@ def _run_serial(
     labels: Sequence[str],
     log: Optional[Callable],
     rec,
+    retries: int,
 ) -> list:
     """``jobs=1`` path of :func:`run_tasks`: in-process, in task order."""
     total = len(tasks)
@@ -346,7 +446,7 @@ def _run_serial(
     task_run = None
     for index, task in enumerate(tasks):
         started = time.perf_counter()
-        results.append(fn(task))
+        results.append(_call_retrying(fn, task, labels[index], retries, log))
         if rec is not None:
             elapsed = time.perf_counter() - started
             if rec.wants("task"):
@@ -395,13 +495,8 @@ def _telemetry_task(fn, categories, task):
 def _broker_worker_entry(
     directory, lease_ttl, max_attempts, task_timeout
 ) -> None:
-    """Subprocess entry for one local broker worker.
-
-    Runs the claim loop until the queue drains.  ``timeout_kills=True``:
-    a task over its wall budget SIGKILLs this worker, the lease lapses,
-    and the task is re-offered (with backoff) until quarantined —
-    the broker analogue of the pool path's straggler SIGKILL.
-    """
+    """Subprocess entry for one local broker worker: runs the claim
+    loop until the queue drains."""
     from repro.experiments.broker import worker_loop
 
     worker_loop(
@@ -409,7 +504,6 @@ def _broker_worker_entry(
         lease_ttl=lease_ttl,
         max_attempts=max_attempts,
         task_timeout=task_timeout,
-        timeout_kills=True,
         drain=True,
     )
 
@@ -446,8 +540,9 @@ def _run_broker(
     by content key, so a rerun replays them instead of recomputing.
     Tasks that end up quarantined — or whose results cannot be
     verified — are rescued serially in-parent (with their checkpoint
-    directory) as the last resort; a genuine poison task then raises
-    its real traceback in the caller.
+    directory and under *timeout*) as the last resort; a genuine
+    poison task then raises its real traceback in the caller, and a
+    genuinely hung one :class:`TaskTimeoutError`.
     """
     from repro.experiments.broker import (
         DEFAULT_MAX_ATTEMPTS,
@@ -512,7 +607,12 @@ def _run_broker(
                 )
             key = task_key(run_fn, tasks[index])
             with task_checkpoint_dir(broker.checkpoint_dir(key), ref=key):
-                value = run_fn(tasks[index])
+                try:
+                    value = run_with_deadline(run_fn, timeout, tasks[index])
+                except TaskTimeoutError as exc:
+                    raise TaskTimeoutError(
+                        f"task {labels[index]} {exc} in parent rescue"
+                    ) from None
             try:
                 broker.complete(
                     Lease(sweep, index, key, labels[index], b"", 0, 0.0,
@@ -592,15 +692,12 @@ def _drive_broker_sweep(
                 down_since = None
             time.sleep(poll_interval)
     if local == 1:
-        # In-process: deterministic, no subprocess to supervise.  A
-        # timeout here cannot kill the worker (it is us); the lease
-        # lapsing still re-offers the task to any other worker.
+        # In-process: deterministic, no subprocess to supervise.
         worker_loop(
             broker.target,
             lease_ttl=broker.lease_ttl,
             max_attempts=broker.max_attempts,
             task_timeout=timeout,
-            timeout_kills=False,
             poll_interval=poll_interval,
             drain=True,
             log=log,
@@ -675,70 +772,23 @@ def _warm_spawned_worker(blob: bytes) -> None:
         default_cache().install_entries(blob)
 
 
-def _traced_call(payload: tuple):
-    """Worker shim recording which pid runs which task, so a hung task's
-    worker can be SIGKILLed from the parent."""
-    fn, task, pid_path = payload
-    try:
-        with open(pid_path, "w") as handle:
-            handle.write(str(os.getpid()))
-    except OSError:
-        pass
-    try:
-        return fn(task)
-    finally:
-        try:
-            os.unlink(pid_path)
-        except OSError:
-            pass
-
-
-class _StragglersKilled(Exception):
-    """Internal: a hung worker was SIGKILLed; the pool is gone and the
-    incomplete tasks need a fresh one."""
-
-
-def _kill_straggler(pool, pid_dir: Optional[str], index: int) -> bool:
-    """SIGKILL the worker recorded for task *index*, if it is still one
-    of *pool*'s own processes (guards against pid reuse)."""
-    if pid_dir is None:
-        return False
-    pid_path = os.path.join(pid_dir, f"{index}.pid")
-    try:
-        with open(pid_path) as handle:
-            pid = int(handle.read().strip() or "0")
-    except (OSError, ValueError):
-        return False
-    processes = getattr(pool, "_processes", None) or {}
-    if pid not in processes:
-        return False
-    try:
-        os.kill(pid, signal.SIGKILL)
-    except OSError:
-        return False
-    return True
-
-
 def _run_pool(
     fn: Callable,
     tasks: list,
     labels: Sequence[str],
     jobs: int,
     log: Optional[Callable],
-    timeout: Optional[float],
     retries: int,
     results: list,
     start_method: Optional[str] = None,
 ) -> None:
     """Pool path of :func:`run_tasks`, filling *results* in place.
 
-    Runs the tasks in pool *generations*: when a straggler has to be
-    SIGKILLed (its slot cannot otherwise be reclaimed — a worker with a
-    task is unkillable through the executor API), the broken pool is
-    dropped and the still-incomplete tasks resubmitted to a fresh one,
-    with per-task attempt counts carried across generations.  Any other
-    pool death propagates as :class:`BrokenProcessPool`, which
-    :func:`run_tasks` answers with a serial rerun of what is left.
+    Keeps at most two pool-widths of tasks submitted, so a long tail
+    does not pile up queued pickles, and resubmits a task whose attempt
+    timed out while *retries* remain.  A pool death propagates as
+    :class:`BrokenProcessPool`, which :func:`run_tasks` answers with a
+    serial rerun of what is left.
     """
     total = len(tasks)
     context = multiprocessing.get_context(start_method)
@@ -749,104 +799,25 @@ def _run_pool(
 
         initializer = _warm_spawned_worker
         initargs = (default_cache().export_entries(),)
-    attempts = [0] * total
-    progress = [0]
-    pid_dir = (
-        tempfile.mkdtemp(prefix="repro-harness-")
-        if timeout is not None
-        else None
+    pool = ProcessPoolExecutor(
+        max_workers=jobs,
+        mp_context=context,
+        initializer=initializer,
+        initargs=initargs,
     )
-    try:
-        while True:
-            todo = [i for i in range(total) if results[i] is _UNSET]
-            if not todo:
-                return
-            pool = ProcessPoolExecutor(
-                max_workers=jobs,
-                mp_context=context,
-                initializer=initializer,
-                initargs=initargs,
-            )
-            try:
-                _pool_generation(
-                    pool, fn, tasks, labels, jobs, log, timeout, retries,
-                    results, attempts, todo, pid_dir, progress,
-                )
-                return
-            except _StragglersKilled:
-                if log is not None:
-                    remaining = sum(
-                        1 for i in range(total) if results[i] is _UNSET
-                    )
-                    log(
-                        f"rebuilding worker pool for {remaining} "
-                        f"unfinished task(s)"
-                    )
-    finally:
-        if pid_dir is not None:
-            shutil.rmtree(pid_dir, ignore_errors=True)
-
-
-def _pool_generation(
-    pool,
-    fn: Callable,
-    tasks: list,
-    labels: Sequence[str],
-    jobs: int,
-    log: Optional[Callable],
-    timeout: Optional[float],
-    retries: int,
-    results: list,
-    attempts: list,
-    todo: list,
-    pid_dir: Optional[str],
-    progress: list,
-) -> None:
-    """Run the *todo* task indices through *pool*, filling *results*."""
-    total = len(tasks)
+    attempts = [0] * total
     index_of: dict = {}
-    deadline_of: dict = {}
-    pending: set = set()
-    next_slot = 0
-
-    def submit(index: int) -> None:
-        if pid_dir is not None:
-            pid_path = os.path.join(pid_dir, f"{index}.pid")
-            try:
-                os.unlink(pid_path)
-            except OSError:
-                pass
-            future = pool.submit(_traced_call, (fn, tasks[index], pid_path))
-        else:
-            future = pool.submit(fn, tasks[index])
-        index_of[future] = index
-        if timeout is not None:
-            deadline_of[future] = time.monotonic() + timeout
-        pending.add(future)
-
-    def submit_up_to(limit: int) -> None:
-        # Submit in chunks of one pool-width so a long tail of tasks
-        # does not pile up queued pickles, then top the window up as
-        # futures complete.
-        nonlocal next_slot
-        while next_slot < len(todo) and len(pending) < limit:
-            submit(todo[next_slot])
-            next_slot += 1
-
+    queued = deque(range(total))
+    finished = 0
     try:
-        submit_up_to(2 * jobs)
-        while pending:
-            wait_timeout = None
-            if timeout is not None:
-                nearest = min(deadline_of[f] for f in pending)
-                wait_timeout = max(0.0, nearest - time.monotonic())
-            completed, pending = wait(
-                pending, timeout=wait_timeout, return_when=FIRST_COMPLETED
-            )
+        while queued or index_of:
+            while queued and len(index_of) < 2 * jobs:
+                index = queued.popleft()
+                index_of[pool.submit(fn, tasks[index])] = index
+            completed, _ = wait(index_of, return_when=FIRST_COMPLETED)
             pool_error = None
             for future in completed:
                 index = index_of.pop(future)
-                deadline_of.pop(future, None)
                 try:
                     value = future.result()
                 except BrokenProcessPool as exc:
@@ -856,53 +827,18 @@ def _pool_generation(
                     # recomputes them.
                     pool_error = exc
                     continue
+                except TaskTimeoutError as exc:
+                    attempts[index] += 1
+                    _retry_or_raise(
+                        exc, labels[index], attempts[index], retries, log
+                    )
+                    queued.appendleft(index)
+                    continue
                 results[index] = value
-                progress[0] += 1
+                finished += 1
                 if log is not None:
-                    log(f"[{progress[0]}/{total}] {labels[index]}")
+                    log(f"[{finished}/{total}] {labels[index]}")
             if pool_error is not None:
                 raise pool_error
-            if timeout is not None:
-                now = time.monotonic()
-                expired = [f for f in pending if deadline_of[f] <= now]
-                for future in expired:
-                    if future.done():
-                        continue  # finished just now; collected next loop
-                    cancelled = future.cancel()
-                    pending.discard(future)
-                    index = index_of.pop(future)
-                    deadline_of.pop(future)
-                    attempts[index] += 1
-                    if attempts[index] > retries:
-                        raise TaskTimeoutError(
-                            f"task {labels[index]} exceeded {timeout:g}s "
-                            f"(attempt {attempts[index]}, retries={retries})"
-                        )
-                    if log is not None:
-                        log(
-                            f"task {labels[index]} exceeded {timeout:g}s; "
-                            f"retry {attempts[index]}/{retries}"
-                        )
-                    if cancelled:
-                        # Never started; resubmit into this same pool.
-                        submit(index)
-                        continue
-                    # A running straggler holds its worker hostage:
-                    # SIGKILL the recorded pid to reclaim the slot, then
-                    # rebuild the (now broken) pool for whatever is
-                    # incomplete.  Without a recorded pid (start-up
-                    # race), fall back to abandoning the future — the
-                    # straggler burns out on its own.
-                    if _kill_straggler(pool, pid_dir, index):
-                        if log is not None:
-                            log(
-                                f"killed straggling worker of task "
-                                f"{labels[index]}"
-                            )
-                        raise _StragglersKilled()
-                    submit(index)
-            submit_up_to(2 * jobs)
-    except BaseException:
+    finally:
         pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    pool.shutdown(wait=False)

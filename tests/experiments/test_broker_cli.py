@@ -5,12 +5,14 @@ subprocess against a broker directory prepared through the library
 API, so the argument plumbing, environment handling, and report
 formatting are exercised exactly as an operator would hit them.  The
 sweeps use ``builtins.abs`` as the point function — importable by any
-worker subprocess without test-module path games.
+worker subprocess without test-module path games (``time.sleep``
+where a task has to hang).
 """
 
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from repro.experiments.broker import Broker, worker_loop
@@ -55,6 +57,23 @@ def test_work_honors_worker_host_jobs_env(tmp_path):
     out = _cli("work", str(tmp_path), env={"REPRO_JOBS": "2"})
     assert out.returncode == 0, out.stderr
     assert "2 worker(s) drained" in out.stdout
+
+
+def test_work_task_timeout_quarantines_hung_task_and_drains(tmp_path):
+    """``--task-timeout`` under ``--jobs 1``: the hung task times itself
+    out in the CLI process, which keeps serving and drains the queue."""
+    broker = Broker(tmp_path)
+    sweep = broker.enqueue(time.sleep, [30.0, 0.0], labels=["hung", "quick"])
+    out = _cli(
+        "work", str(tmp_path), "--jobs", "1",
+        "--task-timeout", "0.5", "--backoff-base", "0.1",
+    )
+    assert out.returncode == 0, out.stderr
+    assert "worker drained" in out.stdout
+    assert broker.replay(sweep) == {1: None}
+    [(_, index, label, _, reason)] = broker.quarantined(sweep)
+    assert (index, label) == (0, "hung")
+    assert "TaskTimeoutError" in reason
 
 
 def test_bless_then_status_reports_drift_state(tmp_path):

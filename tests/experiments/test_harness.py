@@ -3,12 +3,19 @@
 import multiprocessing
 import os
 import signal
+import threading
 import time
 
 import pytest
 
 from repro.errors import ExperimentError, TaskTimeoutError
-from repro.experiments.harness import derive_seed, run_tasks, worker_count
+from repro.experiments import harness
+from repro.experiments.harness import (
+    derive_seed,
+    run_tasks,
+    run_with_deadline,
+    worker_count,
+)
 
 
 # Module level so the parallel path can pickle them by reference.
@@ -221,9 +228,9 @@ def test_dead_worker_falls_back_to_serial():
 
 
 def test_straggler_is_killed_and_pool_rebuilt(tmp_path):
-    """A worker hung past the deadline is SIGKILLed (its slot would
-    otherwise stay occupied for the full 30 s sleep) and the pool is
-    rebuilt for the retry."""
+    """A worker hung past the deadline times its task out (its slot
+    would otherwise stay occupied for the full 30 s sleep) and the task
+    is resubmitted for the retry."""
     flag = str(tmp_path / "straggler.flag")
     fast = str(tmp_path / "fast.flag")
     open(fast, "w").close()  # pre-flagged: returns immediately
@@ -239,10 +246,134 @@ def test_straggler_is_killed_and_pool_rebuilt(tmp_path):
         labels=["straggler", "fast-a", "fast-b"],
     )
     assert results == [1, 2, 3]
-    assert any("killed straggling worker" in line for line in lines)
-    assert any("rebuilding worker pool" in line for line in lines)
+    assert any("straggler exceeded its 1s deadline" in line for line in lines)
+    assert any("retry 1/1" in line for line in lines)
     # Reclaimed at the deadline, nowhere near the straggler's 30 s sleep.
     assert time.monotonic() - start < 20.0
+
+
+# -- one task deadline on every backend --------------------------------------
+
+
+_BACKENDS = {
+    "serial": dict(jobs=1),
+    "pool": dict(jobs=2),
+    "broker-in-process": dict(jobs=1, broker=True),
+    "broker-subprocesses": dict(jobs=2, broker=True),
+}
+
+
+@pytest.fixture(params=list(_BACKENDS))
+def backend(request, tmp_path, monkeypatch):
+    """``run_tasks`` keyword arguments selecting one backend."""
+    for name in ("REPRO_BROKER_DIR", "REPRO_BROKER_URL",
+                 "REPRO_BROKER_WORKERS", "REPRO_JOBS"):
+        monkeypatch.delenv(name, raising=False)
+    kwargs = dict(_BACKENDS[request.param])
+    if kwargs.pop("broker", False):
+        kwargs["broker_dir"] = tmp_path / "broker"
+    return kwargs
+
+
+def test_hung_task_times_out_on_every_backend(backend):
+    start = time.monotonic()
+    with pytest.raises(TaskTimeoutError, match="exceeded"):
+        run_tasks(
+            _sleep_forever, ["hung-a", "hung-b"], timeout=0.5, **backend
+        )
+    assert time.monotonic() - start < 15.0
+
+
+def test_task_hung_once_recovers_on_every_backend(backend, tmp_path):
+    flag = str(tmp_path / "attempted.flag")
+    steady = str(tmp_path / "steady.flag")
+    open(steady, "w").close()  # pre-flagged: returns immediately
+    results = run_tasks(
+        _sleep_if_flagged,
+        [(7, flag), (8, steady)],
+        timeout=0.5,
+        retries=1,
+        **backend,
+    )
+    assert results == [7, 8]
+
+
+def test_deadline_restores_previous_handler_and_timer():
+    previous = signal.signal(signal.SIGALRM, signal.SIG_IGN)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 100.0)
+        with pytest.raises(TaskTimeoutError, match="exceeded its 0.2s"):
+            run_with_deadline(time.sleep, 0.2, 30.0)
+        assert signal.getsignal(signal.SIGALRM) == signal.SIG_IGN
+        assert 90.0 < signal.getitimer(signal.ITIMER_REAL)[0] <= 100.0
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _nested_deadline(task):
+    return run_with_deadline(time.sleep, 30.0, task)
+
+
+def test_deadline_never_nests_and_skips_other_threads():
+    with pytest.raises(TaskTimeoutError, match="exceeded its 0.2s"):
+        run_with_deadline(_nested_deadline, 0.2, 0.5)
+    results = []
+    worker = threading.Thread(
+        target=lambda: results.append(run_with_deadline(abs, 0.01, -3))
+    )
+    worker.start()
+    worker.join(timeout=10.0)
+    assert not worker.is_alive()
+    assert results == [3]
+
+
+def _raise_deadline(*args, **kwargs):
+    raise harness._DeadlineExpired()
+
+
+def _files(root):
+    return sorted(path for path in root.rglob("*") if path.is_file())
+
+
+def test_deadline_in_pipeline_decode_is_a_timeout_not_corruption(
+    tmp_path, monkeypatch
+):
+    from repro.tuning import pipeline
+
+    key = ("deadline-test", 1)
+    pipeline.PipelineCache(disk_dir=tmp_path).get_or_build(key, lambda: "v")
+    cache = pipeline.PipelineCache(disk_dir=tmp_path)
+    before = _files(tmp_path)
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline.pickle, "loads", _raise_deadline)
+        with pytest.raises(TaskTimeoutError):
+            run_with_deadline(
+                lambda _: cache.get_or_build(key, lambda: "rebuilt"),
+                60.0,
+                None,
+            )
+    assert cache.corruptions == 0
+    assert _files(tmp_path) == before
+    assert cache.get_or_build(key, lambda: "rebuilt") == "v"
+
+
+def test_deadline_in_checkpoint_load_is_a_timeout_not_corruption(
+    tmp_path, monkeypatch
+):
+    from repro.sim import checkpoint
+
+    path = checkpoint.save_checkpoint(
+        {"now": 1.0}, tmp_path / "ckpt-00000000.ckpt"
+    )
+    manager = checkpoint.CheckpointManager(tmp_path)
+    with monkeypatch.context() as patch:
+        patch.setattr(checkpoint.pickle, "loads", _raise_deadline)
+        with pytest.raises(TaskTimeoutError):
+            run_with_deadline(lambda _: manager.latest_state(), 60.0, None)
+    assert manager.corrupt_skipped == 0
+    assert _files(tmp_path) == [path]
+    assert checkpoint.load_checkpoint(path) == {"now": 1.0}
 
 
 # -- spawn-started workers --------------------------------------------------
