@@ -370,8 +370,10 @@ def _parse_args(argv):
         type=float,
         default=None,
         metavar="SECONDS",
-        help="simulated seconds between task checkpoints of "
-        "broker-backed sweeps, including --run-dir ones (default: 10)",
+        help="simulated seconds between the grid points at which tasks "
+        "of broker-backed sweeps, including --run-dir ones, may "
+        "checkpoint (default: 10); a task saves at a grid point only "
+        "while saves stay within 10%% of its wall time",
     )
     parser.add_argument(
         "--task-timeout",

@@ -29,6 +29,19 @@ snapshots always land between events exactly where the per-quantum
 loop would have taken them, and a resumed coalesced run stays
 bit-identical to an uninterrupted one.
 
+A manager built with an ``overhead_budget`` (the harness path,
+:func:`task_checkpoint_manager`, uses :data:`TASK_CHECKPOINT_BUDGET`,
+10%) saves at a due grid point only when the wall time since its last
+durable point — its previous save or, before any, its creation — is at
+least ``1 / overhead_budget`` times the expected save cost (the
+measured wall cost of the last save in this process, 0 before any).
+Otherwise the grid point is skipped.  Saves then spend about 10% of a
+task's wall time at most, and a crash loses at most one grid interval
+or ten times one save's wall cost, whichever is larger.  Snapshots are
+pure reads and resume is bit-identical from any grid point, so where
+they land never changes a result.  A manager without a budget saves at
+every grid point.
+
 The module is deliberately ignorant of :class:`Simulation` internals —
 it duck-types ``sim.snapshot_state()`` — so it can be imported from the
 harness and the CLI without touching the executor.
@@ -43,6 +56,7 @@ import math
 import os
 import pickle
 import re
+import time
 from pathlib import Path
 from typing import Optional
 
@@ -53,11 +67,13 @@ __all__ = [
     "CHECKPOINT_VERSION",
     "CheckpointManager",
     "DEFAULT_CHECKPOINT_INTERVAL",
+    "TASK_CHECKPOINT_BUDGET",
     "TASK_CHECKPOINT_DIR_ENV",
     "TASK_CHECKPOINT_REF_ENV",
     "build_checkpoint_bytes",
     "load_checkpoint",
     "parse_checkpoint",
+    "reset_save_cost",
     "save_checkpoint",
     "task_checkpoint_dir",
     "task_checkpoint_manager",
@@ -81,7 +97,25 @@ CHECKPOINT_INTERVAL_ENV = "REPRO_CHECKPOINT_INTERVAL"
 #: machine whose local checkpoint directory is empty.
 TASK_CHECKPOINT_REF_ENV = "REPRO_TASK_CHECKPOINT_REF"
 
+#: Share of a harness task's wall time its checkpoint saves may spend
+#: (the ``overhead_budget`` of :func:`task_checkpoint_manager`).
+TASK_CHECKPOINT_BUDGET = 0.10
+
 _FILE_RE = re.compile(r"^ckpt-(\d{8})\.ckpt$")
+
+#: Wall clock the save budget reads.
+_clock = time.perf_counter
+
+#: Measured wall cost of the last save in this process: the expected
+#: cost of the next one.  0 until a save happens, so the first grid
+#: point a process reaches always saves.
+_save_cost = 0.0
+
+
+def reset_save_cost() -> None:
+    """Forget the measured save cost, as in a fresh process."""
+    global _save_cost
+    _save_cost = 0.0
 
 
 def build_checkpoint_bytes(state: dict) -> bytes:
@@ -212,10 +246,17 @@ class CheckpointManager:
             resumes mid-simulation.  Always best-effort: a dead store
             never fails a save or a resume.
         ref: the store ref name snapshots publish under.
+        overhead_budget: optional share of wall time saves may spend.
+            With it, :meth:`maybe_save` skips a due grid point unless
+            the wall time since the last save (or, before any, since
+            this manager was created) is at least ``1 / overhead_budget``
+            times the last save's measured cost.  ``None`` saves at
+            every grid point.
     """
 
     def __init__(self, directory, interval: float = DEFAULT_CHECKPOINT_INTERVAL,
-                 keep: int = 2, store=None, ref: Optional[str] = None):
+                 keep: int = 2, store=None, ref: Optional[str] = None,
+                 overhead_budget: Optional[float] = None):
         if not (interval > 0 and math.isfinite(interval)):
             raise CheckpointError(
                 f"checkpoint interval must be positive and finite, got {interval}"
@@ -227,7 +268,9 @@ class CheckpointManager:
         self.keep = int(keep)
         self.store = store if ref else None
         self.ref = ref
+        self.overhead_budget = overhead_budget
         self.saves = 0
+        self._durable_at = _clock()
         #: Corrupt files skipped while looking for the latest valid
         #: snapshot (surfaced so callers can log the fallback).
         self.corrupt_skipped = 0
@@ -253,14 +296,29 @@ class CheckpointManager:
         """The first grid point strictly after *now*."""
         return (math.floor(now / self.interval) + 1) * self.interval
 
+    def maybe_save(self, sim, at: float) -> Optional[Path]:
+        """Handle the grid point due at sim time *at*: :meth:`save` if
+        the overhead budget allows, else skip it.  Either way
+        ``next_due`` moves to the first grid point after *at*.
+        """
+        if (self.overhead_budget is not None
+                and _clock() - self._durable_at
+                < _save_cost / self.overhead_budget):
+            self.next_due = self.first_due(at)
+            return None
+        return self.save(sim, at)
+
     def save(self, sim, at: Optional[float] = None) -> Path:
         """Snapshot *sim* into the next numbered file and prune old ones.
 
         *at* is the sim time that triggered the save (the next event's
         timestamp); ``next_due`` advances to the first grid point after
         it so a burst of overdue events produces one snapshot, not one
-        per event.
+        per event.  The save's wall cost becomes the process's expected
+        save cost.
         """
+        global _save_cost
+        start = _clock()
         state = sim.snapshot_state()
         path = self.directory / f"ckpt-{self._seq:08d}.ckpt"
         envelope = build_checkpoint_bytes(state)
@@ -275,6 +333,8 @@ class CheckpointManager:
         base = state.get("now", 0.0) if at is None else at
         self.next_due = self.first_due(base)
         self._prune()
+        self._durable_at = _clock()
+        _save_cost = self._durable_at - start
         return path
 
     def latest_state(self) -> Optional[dict]:
@@ -368,7 +428,9 @@ def task_checkpoint_manager(
     A broker-backed sweep points :data:`TASK_CHECKPOINT_DIR_ENV` at a
     per-task directory while the task runs; checkpoint-aware point
     functions call this to pick the manager up.  Returns ``None`` when
-    the task is not running under a broker.
+    the task is not running under a broker.  The manager saves within
+    the :data:`TASK_CHECKPOINT_BUDGET` wall-time budget, so a short
+    task pays for few snapshots however fine the sim-time grid.
 
     Args:
         subdir: optional subdirectory under the task's checkpoint
@@ -401,4 +463,4 @@ def task_checkpoint_manager(
         if store is not None:
             ref = f"ckpt/{name}" + (f"/{subdir}" if subdir else "")
     return CheckpointManager(directory, interval=interval, store=store,
-                             ref=ref)
+                             ref=ref, overhead_budget=TASK_CHECKPOINT_BUDGET)

@@ -676,9 +676,10 @@ class Simulation:
                 break
             if time >= ckpt_due:
                 # Between events every invariant holds, so this is the
-                # one safe instant to freeze the run.  A crash after
-                # this point loses at most [ckpt_due, crash) of work.
-                ckpt.save(self, time)
+                # one safe instant to freeze the run.  A budgeted
+                # manager may skip the point; either way the next one
+                # is on the same grid.
+                ckpt.maybe_save(self, time)
                 ckpt_due = ckpt.next_due
             if coalescing and time >= macro_after and entry[2][0] == "core":
                 horizon = self._coalesce_horizon(time, ckpt_due)

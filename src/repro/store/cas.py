@@ -814,10 +814,19 @@ class TieredStore:
         return None
 
     def publish(self, name: str, data: bytes) -> str:
-        """Publish *data* and point ref *name* at it, object first."""
+        """Publish *data* and point ref *name* at it, object first.
+
+        The memory tier lets go of the object *name* pointed at before
+        unless another ref still points there, so a ref republished
+        many times (a task's checkpoint) holds one object in memory.
+        """
         _check_ref(name)
         digest = self.put_object(data)
+        old = self._mem_refs.get(name)
         self._mem_refs[name] = digest
+        if (old is not None and old != digest
+                and old not in self._mem_refs.values()):
+            self._mem_objects.pop(old, None)
         if self.local is not None:
             try:
                 self.local.set_ref(name, digest)

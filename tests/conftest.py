@@ -6,7 +6,16 @@ import pytest
 
 from repro.isa import ProgramBuilder, assemble
 from repro.sim import core2quad_amp
+from repro.sim.checkpoint import reset_save_cost
 from repro.sim.tracegen import BehaviorSpec
+
+
+@pytest.fixture(autouse=True)
+def fresh_save_cost():
+    """Every test starts with no measured checkpoint save cost, as in a
+    fresh process, so budgeted checkpointing never depends on which
+    tests ran before."""
+    reset_save_cost()
 
 
 @pytest.fixture(scope="session")

@@ -7,15 +7,18 @@ import pytest
 
 from repro.errors import CheckpointError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import make_workload
+from repro.experiments.runner import make_workload, run_technique_point
 from repro.instrument.marker import parse_strategy
+from repro.sim import checkpoint
 from repro.sim.checkpoint import (
     CHECKPOINT_INTERVAL_ENV,
     CheckpointManager,
     MAGIC,
+    TASK_CHECKPOINT_BUDGET,
     TASK_CHECKPOINT_DIR_ENV,
     load_checkpoint,
     save_checkpoint,
+    task_checkpoint_dir,
     task_checkpoint_manager,
 )
 from repro.sim.executor import Simulation
@@ -199,6 +202,94 @@ def test_all_corrupt_falls_back_to_clean_start(tmp_path):
 
 def test_empty_directory_is_clean_start(tmp_path):
     assert CheckpointManager(tmp_path / "nope").latest_state() is None
+
+
+# -- wall-clock overhead budget -------------------------------------------------
+
+
+class _Clock:
+    """A wall clock that moves only when told to."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+
+class _CostlySim:
+    """A simulation whose snapshot takes *cost* units of wall time."""
+
+    def __init__(self, clock, cost):
+        self.clock = clock
+        self.cost = cost
+        self.at = 0.0
+
+    def snapshot_state(self):
+        self.clock.now += self.cost
+        return {"now": self.at}
+
+
+def _due(mgr, sim, at, wall):
+    """Reach the grid point due at sim time *at* at wall time *wall*."""
+    sim.clock.now = wall
+    sim.at = at
+    return mgr.maybe_save(sim, at)
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    fake = _Clock()
+    monkeypatch.setattr(checkpoint, "_clock", fake)
+    return fake
+
+
+def test_budget_skips_grid_points_until_ten_save_costs_pass(tmp_path, clock):
+    mgr = CheckpointManager(tmp_path, interval=1.0, overhead_budget=0.1)
+    sim = _CostlySim(clock, cost=1.0)
+    # No cost history: the first due point saves, costing wall 0 -> 1.
+    assert _due(mgr, sim, 1.0, wall=0.0) is not None
+    # Due points within 10 units of the save's end are skipped, and
+    # each skip still moves the due time along the grid.
+    assert _due(mgr, sim, 2.0, wall=4.0) is None
+    assert mgr.next_due == 3.0
+    assert _due(mgr, sim, 3.5, wall=10.5) is None
+    assert mgr.next_due == 4.0
+    # The next one after that saves.
+    assert _due(mgr, sim, 4.0, wall=11.5) is not None
+    assert mgr.saves == 2
+    assert mgr.latest_state() == {"now": 4.0}
+    assert mgr.next_due == 5.0
+
+
+def test_budget_takes_the_first_save_without_cost_history(tmp_path, clock):
+    sim = _CostlySim(clock, cost=1.0)
+    first = CheckpointManager(tmp_path / "a", overhead_budget=0.1)
+    # Zero wall time since the manager was created, but no save has
+    # been measured in this process yet.
+    assert _due(first, sim, 10.0, wall=0.0) is not None
+    # The measured cost outlives the manager: a new one in the same
+    # process waits ten save costs from its creation.
+    second = CheckpointManager(tmp_path / "b", overhead_budget=0.1)
+    assert _due(second, sim, 10.0, wall=5.0) is None
+    assert _due(second, sim, 20.0, wall=11.5) is not None
+    checkpoint.reset_save_cost()
+    third = CheckpointManager(tmp_path / "c", overhead_budget=0.1)
+    assert _due(third, sim, 10.0, wall=12.5) is not None
+
+
+def test_manager_without_budget_saves_at_every_grid_point(tmp_path, clock):
+    sim = _CostlySim(clock, cost=1.0)
+    mgr = CheckpointManager(tmp_path, interval=1.0)
+    for at in (1.0, 2.0, 3.0, 4.0):
+        assert _due(mgr, sim, at, wall=0.0) is not None
+    assert mgr.saves == 4
+
+
+def test_task_manager_is_budgeted(tmp_path, monkeypatch):
+    monkeypatch.setenv(TASK_CHECKPOINT_DIR_ENV, str(tmp_path))
+    assert task_checkpoint_manager().overhead_budget == TASK_CHECKPOINT_BUDGET
+    assert CheckpointManager(tmp_path).overhead_budget is None
 
 
 # -- task_checkpoint_manager ----------------------------------------------------
@@ -395,6 +486,42 @@ def test_resume_continues_checkpointing_on_the_same_grid(tmp_path):
     state = resumed_mgr.latest_state()
     assert state is not None
     assert state["now"] >= 12.0
+
+
+def _outcome_summary(outcome):
+    return (
+        outcome.name,
+        _summary(outcome.result),
+        outcome.fairness,
+        outcome.instructions,
+        outcome.switches,
+    )
+
+
+def test_harness_task_resumes_mid_simulation(tmp_path, monkeypatch):
+    """A paper-scale harness task under the budget still leaves a
+    mid-simulation snapshot, and rerunning the task resumes from it to
+    the uncheckpointed outcome."""
+    task = (ExperimentConfig.paper(), "Loop[45]", None, 0.12)
+    plain = _outcome_summary(run_technique_point(task))
+    ckpt_dir = tmp_path / "task"
+    with task_checkpoint_dir(ckpt_dir):
+        run_technique_point(task)
+        assert CheckpointManager(ckpt_dir).checkpoint_files()
+        assert task_checkpoint_manager().latest_state()["now"] > 0
+
+        resumed_from = []
+        latest_state = CheckpointManager.latest_state
+
+        def spy(mgr):
+            state = latest_state(mgr)
+            resumed_from.append(state["now"] if state else None)
+            return state
+
+        monkeypatch.setattr(CheckpointManager, "latest_state", spy)
+        resumed = _outcome_summary(run_technique_point(task))
+    assert resumed_from and resumed_from[0] > 0
+    assert resumed == plain
 
 
 def test_restore_rejects_machine_mismatch(tmp_path):

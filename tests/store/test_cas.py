@@ -306,6 +306,26 @@ def test_tiered_publish_writes_all_writable_tiers(tmp_path):
     assert shared.get(digest) == b"snapshot"
 
 
+def test_tiered_publish_keeps_one_memory_object_per_ref(tmp_path):
+    """Republishing a ref drops its previous object from the memory
+    tier, so a ref published many times holds one object in memory."""
+    tiered = TieredStore(local=LocalStore(tmp_path))
+    for i in range(50):
+        tiered.publish("ckpt/task", b"snapshot %d" % i)
+    assert tiered.stats()["tiers"]["memory"]["objects"] == 1
+    assert tiered.fetch("ckpt/task") == b"snapshot 49"
+
+
+def test_tiered_publish_keeps_objects_other_refs_share(tmp_path):
+    tiered = TieredStore(local=LocalStore(tmp_path))
+    digest = tiered.publish("ckpt/a", b"shared")
+    tiered.publish("ckpt/b", b"shared")
+    tiered.publish("ckpt/a", b"newer")
+    assert tiered.stats()["tiers"]["memory"]["objects"] == 2
+    assert tiered.get_object(digest) == b"shared"
+    assert tiered.memory_hits == 1
+
+
 def test_tiered_corrupt_remote_falls_through(tmp_path):
     shared = LocalStore(tmp_path / "shared")
     digest = shared.put(b"payload")
