@@ -29,18 +29,17 @@ snapshots always land between events exactly where the per-quantum
 loop would have taken them, and a resumed coalesced run stays
 bit-identical to an uninterrupted one.
 
-A manager built with an ``overhead_budget`` (the harness path,
-:func:`task_checkpoint_manager`, uses :data:`TASK_CHECKPOINT_BUDGET`,
-10%) saves at a due grid point only when the wall time since its last
-durable point — its previous save or, before any, its creation — is at
-least ``1 / overhead_budget`` times the expected save cost (the
-measured wall cost of the last save in this process, 0 before any).
-Otherwise the grid point is skipped.  Saves then spend about 10% of a
-task's wall time at most, and a crash loses at most one grid interval
-or ten times one save's wall cost, whichever is larger.  Snapshots are
-pure reads and resume is bit-identical from any grid point, so where
-they land never changes a result.  A manager without a budget saves at
-every grid point.
+Saves are held to a wall-time budget, :data:`CHECKPOINT_BUDGET` (10%):
+a manager saves at a due grid point only when the wall time since its
+last durable point — its previous save or, before any, its creation —
+is at least ``1 / CHECKPOINT_BUDGET`` (10) times the expected save cost
+(the measured wall cost of the last save in this process, 0 before any,
+so the first grid point a process reaches always saves).  Otherwise the
+grid point is skipped and the next one is due on the same grid.  Saves
+then spend about 10% of a run's wall time, and a crash loses at most
+ten times the last measured save cost plus the wall time of one grid
+interval.  Snapshots are pure reads and resume is bit-identical from any
+grid point, so where they land never changes a result.
 
 The module is deliberately ignorant of :class:`Simulation` internals —
 it duck-types ``sim.snapshot_state()`` — so it can be imported from the
@@ -63,17 +62,16 @@ from typing import Optional
 from repro.errors import CheckpointError, StoreError
 
 __all__ = [
+    "CHECKPOINT_BUDGET",
     "CHECKPOINT_INTERVAL_ENV",
     "CHECKPOINT_VERSION",
     "CheckpointManager",
     "DEFAULT_CHECKPOINT_INTERVAL",
-    "TASK_CHECKPOINT_BUDGET",
     "TASK_CHECKPOINT_DIR_ENV",
     "TASK_CHECKPOINT_REF_ENV",
     "build_checkpoint_bytes",
     "load_checkpoint",
     "parse_checkpoint",
-    "reset_save_cost",
     "save_checkpoint",
     "task_checkpoint_dir",
     "task_checkpoint_manager",
@@ -97,9 +95,8 @@ CHECKPOINT_INTERVAL_ENV = "REPRO_CHECKPOINT_INTERVAL"
 #: machine whose local checkpoint directory is empty.
 TASK_CHECKPOINT_REF_ENV = "REPRO_TASK_CHECKPOINT_REF"
 
-#: Share of a harness task's wall time its checkpoint saves may spend
-#: (the ``overhead_budget`` of :func:`task_checkpoint_manager`).
-TASK_CHECKPOINT_BUDGET = 0.10
+#: Share of a run's wall time its checkpoint saves may spend.
+CHECKPOINT_BUDGET = 0.10
 
 _FILE_RE = re.compile(r"^ckpt-(\d{8})\.ckpt$")
 
@@ -110,12 +107,6 @@ _clock = time.perf_counter
 #: cost of the next one.  0 until a save happens, so the first grid
 #: point a process reaches always saves.
 _save_cost = 0.0
-
-
-def reset_save_cost() -> None:
-    """Forget the measured save cost, as in a fresh process."""
-    global _save_cost
-    _save_cost = 0.0
 
 
 def build_checkpoint_bytes(state: dict) -> bytes:
@@ -246,17 +237,14 @@ class CheckpointManager:
             resumes mid-simulation.  Always best-effort: a dead store
             never fails a save or a resume.
         ref: the store ref name snapshots publish under.
-        overhead_budget: optional share of wall time saves may spend.
-            With it, :meth:`maybe_save` skips a due grid point unless
-            the wall time since the last save (or, before any, since
-            this manager was created) is at least ``1 / overhead_budget``
-            times the last save's measured cost.  ``None`` saves at
-            every grid point.
+
+    :meth:`maybe_save` takes a due grid point only within the
+    :data:`CHECKPOINT_BUDGET` wall-time budget (see the module
+    docstring); :meth:`save` always saves.
     """
 
     def __init__(self, directory, interval: float = DEFAULT_CHECKPOINT_INTERVAL,
-                 keep: int = 2, store=None, ref: Optional[str] = None,
-                 overhead_budget: Optional[float] = None):
+                 keep: int = 2, store=None, ref: Optional[str] = None):
         if not (interval > 0 and math.isfinite(interval)):
             raise CheckpointError(
                 f"checkpoint interval must be positive and finite, got {interval}"
@@ -268,7 +256,6 @@ class CheckpointManager:
         self.keep = int(keep)
         self.store = store if ref else None
         self.ref = ref
-        self.overhead_budget = overhead_budget
         self.saves = 0
         self._durable_at = _clock()
         #: Corrupt files skipped while looking for the latest valid
@@ -298,12 +285,10 @@ class CheckpointManager:
 
     def maybe_save(self, sim, at: float) -> Optional[Path]:
         """Handle the grid point due at sim time *at*: :meth:`save` if
-        the overhead budget allows, else skip it.  Either way
+        the wall-time budget allows, else skip it.  Either way
         ``next_due`` moves to the first grid point after *at*.
         """
-        if (self.overhead_budget is not None
-                and _clock() - self._durable_at
-                < _save_cost / self.overhead_budget):
+        if _clock() - self._durable_at < _save_cost / CHECKPOINT_BUDGET:
             self.next_due = self.first_due(at)
             return None
         return self.save(sim, at)
@@ -428,8 +413,8 @@ def task_checkpoint_manager(
     A broker-backed sweep points :data:`TASK_CHECKPOINT_DIR_ENV` at a
     per-task directory while the task runs; checkpoint-aware point
     functions call this to pick the manager up.  Returns ``None`` when
-    the task is not running under a broker.  The manager saves within
-    the :data:`TASK_CHECKPOINT_BUDGET` wall-time budget, so a short
+    the task is not running under a broker.  Like every manager it saves
+    within the :data:`CHECKPOINT_BUDGET` wall-time budget, so a short
     task pays for few snapshots however fine the sim-time grid.
 
     Args:
@@ -463,4 +448,4 @@ def task_checkpoint_manager(
         if store is not None:
             ref = f"ckpt/{name}" + (f"/{subdir}" if subdir else "")
     return CheckpointManager(directory, interval=interval, store=store,
-                             ref=ref, overhead_budget=TASK_CHECKPOINT_BUDGET)
+                             ref=ref)

@@ -5,17 +5,18 @@ from __future__ import annotations
 import pytest
 
 from repro.isa import ProgramBuilder, assemble
-from repro.sim import core2quad_amp
-from repro.sim.checkpoint import reset_save_cost
+from repro.sim import checkpoint, core2quad_amp
 from repro.sim.tracegen import BehaviorSpec
 
 
 @pytest.fixture(autouse=True)
-def fresh_save_cost():
-    """Every test starts with no measured checkpoint save cost, as in a
-    fresh process, so budgeted checkpointing never depends on which
-    tests ran before."""
-    reset_save_cost()
+def free_checkpoint_saves(monkeypatch):
+    """Checkpoint saves cost no wall time in tests: the budget's clock
+    stands still and no save cost is remembered, so every due grid
+    point saves and no test depends on which tests ran before.  Tests
+    of the budget install their own clock."""
+    monkeypatch.setattr(checkpoint, "_clock", lambda: 0.0)
+    monkeypatch.setattr(checkpoint, "_save_cost", 0.0)
 
 
 @pytest.fixture(scope="session")

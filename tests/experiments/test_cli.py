@@ -3,22 +3,26 @@
 Each test drives ``python -m repro.experiments`` as a real subprocess
 with every ``REPRO_*`` variable cleared, so a flag is only honoured if
 the CLI itself routes it to where the work happens: ``--run-dir`` plus
-``resume``, ``--checkpoint-interval`` on a ``--broker-dir`` run,
+``resume`` (after a finished run and after a ``kill -9`` mid-sweep),
+``--checkpoint-interval`` on a ``--broker-dir`` run,
 ``--cache-dir`` / ``REPRO_CACHE_DIR``, and ``--trace-categories`` /
 ``REPRO_TRACE_CATEGORIES``.
 """
 
+import contextlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
-def _cli(*argv, env=None):
+def _env(env=None):
     merged = {
         key: value
         for key, value in os.environ.items()
@@ -27,9 +31,17 @@ def _cli(*argv, env=None):
     merged["PYTHONPATH"] = _SRC
     if env:
         merged.update(env)
+    return merged
+
+
+def _argv(argv):
+    return [sys.executable, "-m", "repro.experiments", *map(str, argv)]
+
+
+def _cli(*argv, env=None):
     return subprocess.run(
-        [sys.executable, "-m", "repro.experiments", *map(str, argv)],
-        capture_output=True, text=True, timeout=300, env=merged,
+        _argv(argv), capture_output=True, text=True, timeout=300,
+        env=_env(env),
     )
 
 
@@ -66,6 +78,45 @@ def test_run_dir_resume_replays_every_task(tmp_path):
     assert "[settled]" in status.stdout
     assert "[running]" not in status.stdout
     assert "QUARANTINED" not in status.stdout
+
+
+def test_run_dir_killed_mid_sweep_resumes_byte_identical(tmp_path):
+    """``kill -9`` of a run-dir sweep and all its workers as soon as a
+    task has checkpointed; ``resume`` finishes the sweep with stdout
+    byte-identical to a plain run."""
+    run = tmp_path / "run"
+    # A short lease TTL so the resume reclaims the dead workers' tasks
+    # quickly; leases never change results.
+    env = {"REPRO_LEASE_TTL": "2"}
+    proc = subprocess.Popen(
+        _argv(["--run-dir", run, "--checkpoint-interval", "5",
+               "--jobs", "2", "fig6"]),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        env=_env(env), start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 120
+        while not _snapshots(run / "broker"):
+            assert proc.poll() is None, "run ended before any checkpoint"
+            assert time.monotonic() < deadline, "no checkpoint appeared"
+            time.sleep(0.01)
+    finally:
+        # The whole session: the CLI and its broker workers.
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=60)
+    assert proc.returncode == -signal.SIGKILL
+
+    # The kill landed mid-sweep.
+    status = _cli("status", "--broker-dir", run / "broker")
+    assert status.returncode == 0, status.stderr
+    assert "[running]" in status.stdout
+
+    resumed = _cli("resume", run, env=env)
+    assert resumed.returncode == 0, resumed.stderr
+    plain = _cli("--jobs", "2", "fig6")
+    assert plain.returncode == 0, plain.stderr
+    assert resumed.stdout == plain.stdout
 
 
 def test_checkpoint_interval_reaches_broker_dir_runs(tmp_path):

@@ -2,6 +2,7 @@
 
 import os
 import random
+import time
 
 import pytest
 
@@ -14,7 +15,6 @@ from repro.sim.checkpoint import (
     CHECKPOINT_INTERVAL_ENV,
     CheckpointManager,
     MAGIC,
-    TASK_CHECKPOINT_BUDGET,
     TASK_CHECKPOINT_DIR_ENV,
     load_checkpoint,
     save_checkpoint,
@@ -245,7 +245,7 @@ def clock(monkeypatch):
 
 
 def test_budget_skips_grid_points_until_ten_save_costs_pass(tmp_path, clock):
-    mgr = CheckpointManager(tmp_path, interval=1.0, overhead_budget=0.1)
+    mgr = CheckpointManager(tmp_path, interval=1.0)
     sim = _CostlySim(clock, cost=1.0)
     # No cost history: the first due point saves, costing wall 0 -> 1.
     assert _due(mgr, sim, 1.0, wall=0.0) is not None
@@ -262,34 +262,32 @@ def test_budget_skips_grid_points_until_ten_save_costs_pass(tmp_path, clock):
     assert mgr.next_due == 5.0
 
 
-def test_budget_takes_the_first_save_without_cost_history(tmp_path, clock):
+def test_budget_takes_the_first_save_without_cost_history(
+        tmp_path, clock, monkeypatch):
     sim = _CostlySim(clock, cost=1.0)
-    first = CheckpointManager(tmp_path / "a", overhead_budget=0.1)
+    first = CheckpointManager(tmp_path / "a")
     # Zero wall time since the manager was created, but no save has
     # been measured in this process yet.
     assert _due(first, sim, 10.0, wall=0.0) is not None
     # The measured cost outlives the manager: a new one in the same
     # process waits ten save costs from its creation.
-    second = CheckpointManager(tmp_path / "b", overhead_budget=0.1)
+    second = CheckpointManager(tmp_path / "b")
     assert _due(second, sim, 10.0, wall=5.0) is None
     assert _due(second, sim, 20.0, wall=11.5) is not None
-    checkpoint.reset_save_cost()
-    third = CheckpointManager(tmp_path / "c", overhead_budget=0.1)
+    # A fresh process has no cost history again.
+    monkeypatch.setattr(checkpoint, "_save_cost", 0.0)
+    third = CheckpointManager(tmp_path / "c")
     assert _due(third, sim, 10.0, wall=12.5) is not None
 
 
-def test_manager_without_budget_saves_at_every_grid_point(tmp_path, clock):
-    sim = _CostlySim(clock, cost=1.0)
+def test_free_saves_are_taken_at_every_grid_point(tmp_path, clock):
+    """Saves that cost no wall time never exhaust the budget, which is
+    what lets the test suite's frozen clock save at every grid point."""
+    sim = _CostlySim(clock, cost=0.0)
     mgr = CheckpointManager(tmp_path, interval=1.0)
     for at in (1.0, 2.0, 3.0, 4.0):
         assert _due(mgr, sim, at, wall=0.0) is not None
     assert mgr.saves == 4
-
-
-def test_task_manager_is_budgeted(tmp_path, monkeypatch):
-    monkeypatch.setenv(TASK_CHECKPOINT_DIR_ENV, str(tmp_path))
-    assert task_checkpoint_manager().overhead_budget == TASK_CHECKPOINT_BUDGET
-    assert CheckpointManager(tmp_path).overhead_budget is None
 
 
 # -- task_checkpoint_manager ----------------------------------------------------
@@ -502,6 +500,8 @@ def test_harness_task_resumes_mid_simulation(tmp_path, monkeypatch):
     """A paper-scale harness task under the budget still leaves a
     mid-simulation snapshot, and rerunning the task resumes from it to
     the uncheckpointed outcome."""
+    # The real wall clock, from no cost history: a fresh task process.
+    monkeypatch.setattr(checkpoint, "_clock", time.perf_counter)
     task = (ExperimentConfig.paper(), "Loop[45]", None, 0.12)
     plain = _outcome_summary(run_technique_point(task))
     ckpt_dir = tmp_path / "task"
