@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from repro.analysis.block_typing import StaticBlockTyper, inject_clustering_error
 from repro.metrics.throughput import throughput_improvement
 from repro.sim.checkpoint import task_checkpoint_manager
+from repro.tuning.pipeline import typed_blocks
 from repro.workloads.spec import spec_benchmark
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import run_tasks
@@ -40,7 +41,7 @@ def _point(task):
     typer = StaticBlockTyper(num_types=2)
     overrides = {}
     for name in sorted(workload.benchmark_names()):
-        typing = typer.type_blocks(spec_benchmark(name).program)
+        typing = typed_blocks(spec_benchmark(name).program, typer)
         overrides[name] = inject_clustering_error(typing, error, seed=error_seed)
     return run_technique(
         config,

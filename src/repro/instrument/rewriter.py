@@ -239,15 +239,24 @@ class InstrumentedProgram:
 
 
 def build_marks(
-    aprog: AttributedProgram, points: list[TransitionPoint]
+    aprog: AttributedProgram,
+    points: list[TransitionPoint],
+    liveness: Optional[dict] = None,
 ) -> list[PhaseMark]:
     """Turn transition points into phase marks with byte accounting.
 
     Applies Section III's live-register analysis: a mark saves only the
     clobbered scratch registers that are live at the section entry it
     guards, shrinking the trampoline.
+
+    Args:
+        liveness: ``{procedure name: liveness}`` memo to read and extend.
+            Liveness depends on the program alone, so the pipeline
+            passes one memo per program and each procedure is analysed
+            once whatever the number of strategies; by default the memo
+            lasts this call.
     """
-    liveness_cache: dict = {}
+    liveness_cache = {} if liveness is None else liveness
     marks = []
     for mark_id, point in enumerate(sorted(points, key=lambda p: p.uid)):
         cfg = aprog.cfgs[point.proc]

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from repro.errors import ReproError
 from repro.instrument.marker import MarkingStrategy
-from repro.instrument.rewriter import instrument
 from repro.metrics.stats import BoxPlot, box_plot, mean
+from repro.tuning.pipeline import instrument_cached
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,9 @@ def space_overhead_report(
 ) -> SpaceOverheadReport:
     """Instrument every benchmark with *strategy* and report overheads.
 
+    Builds go through the pipeline cache, so each program is typed once
+    and later experiments reuse the instrumented programs.
+
     Args:
         benchmarks: iterable of
             :class:`~repro.workloads.synthetic.SyntheticBenchmark`.
@@ -50,7 +53,7 @@ def space_overhead_report(
     mark_counts = []
     max_mark = 0
     for benchmark in benchmarks:
-        inst = instrument(benchmark.program, strategy)
+        inst = instrument_cached(benchmark.program, strategy)
         per_benchmark[benchmark.name] = inst.space_overhead
         mark_counts.append(len(inst.marks))
         for mark in inst.marks:

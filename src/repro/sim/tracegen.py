@@ -22,7 +22,11 @@ embedded with a per-iteration rate when the mark sits inside a collapsed
 body (the naive basic-block technique, whose thrash cost this makes
 visible).  The same generator run on the plain program yields a
 structurally identical, mark-free trace, so baseline-vs-tuned
-comparisons share the exact same dynamics.
+comparisons share the exact same dynamics.  Everything but the marks —
+loops, scope DAGs, block costs and the per-procedure and per-loop cost
+aggregates — lives in :class:`ProgramCosts`, which any number of traces
+of one program can share; each trace adds only a mark-rate pass and
+emission.
 
 Approximations (documented, deliberate): conditional branch paths are
 weighted equally; loops entered with probability below
@@ -33,6 +37,7 @@ segment budget, beyond which a loop collapses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Union
 
 from repro.errors import SimulationError, WorkloadError
@@ -107,86 +112,106 @@ class _ScopeItem:
         return ("block", self.block)
 
 
-class TraceGenerator:
-    """Generates traces for one machine configuration."""
+class _Aggregates:
+    """Per-procedure and per-loop sums of one quantity, bottom-up.
 
-    def __init__(self, machine: MachineConfig, memory: Optional[MemoryModel] = None):
-        self.machine = machine
-        self.cost_model = CostModel(machine, memory)
-        self._reset()
+    *scope_sum(proc, within)* sums one scope (a procedure body when
+    *within* is ``None``, else one iteration of that loop), reading
+    callees through :meth:`proc` and nested loops through :meth:`loop`.
+    Trace generation keeps two of these: block costs in
+    :class:`ProgramCosts` and mark rates per traced target.  Both follow
+    the same schedule, so each sum accumulates in the same order as it
+    would if the two were computed together.
+    """
 
-    def _reset(self) -> None:
-        self._program: Optional[Program] = None
-        self._instrumented = None
-        self._spec: Optional[BehaviorSpec] = None
-        self._cfgs: dict = {}
-        self._loops: dict = {}
-        self._trips: dict = {}
-        self._agg_memo: dict = {}
-        self._loop_memo: dict = {}
-        self._dag_memo: dict = {}
-        self._in_progress: set = set()
+    def __init__(self, scope_sum, zero):
+        self.procs: dict = {}
+        self.loops: dict = {}
+        self._scope_sum = scope_sum
+        self._zero = zero
 
-    # -- public API ---------------------------------------------------------
+    def run(self, schedule) -> None:
+        """Aggregate every procedure callees-first; iterate recursive SCCs.
 
-    def generate(self, target, spec: Optional[BehaviorSpec] = None) -> Trace:
-        """Generate the trace of *target* under *spec*.
-
-        Args:
-            target: a :class:`~repro.program.module.Program` or an
-                :class:`~repro.instrument.rewriter.InstrumentedProgram`.
-            spec: behaviour parameters; defaults apply when omitted.
+        *schedule* is ``[(scc, rounds), ...]`` in bottom-up order.
         """
-        self._reset()
-        self._spec = spec or BehaviorSpec()
-        if hasattr(target, "program") and hasattr(target, "mark_at_edge"):
-            self._instrumented = target
-            self._program = target.program
-            self._cfgs = dict(target.aprog.cfgs)
-        else:
-            self._instrumented = None
-            self._program = target
-            self._cfgs = {p.name: cached_cfg(p) for p in target}
-        self._loops = {
-            name: find_loops(cfg) for name, cfg in self._cfgs.items()
+        for scc, rounds in schedule:
+            for name in scc:
+                self.procs[name] = self._zero()
+            for _ in range(rounds):
+                for name in scc:
+                    prefix = f"{name}@"
+                    self.loops = {
+                        k: v
+                        for k, v in self.loops.items()
+                        if not k.startswith(prefix)
+                    }
+                    self.procs[name] = self._scope_sum(name, None)
+
+    def proc(self, proc_name: str):
+        """The sum over one call to *proc_name* (callees are aggregated
+        before their callers, so it is always there)."""
+        return self.procs[proc_name]
+
+    def loop(self, proc_name: str, loop: Loop):
+        """The sum over ONE iteration of *loop*."""
+        cached = self.loops.get(loop.uid)
+        if cached is not None:
+            return cached
+        result = self._scope_sum(proc_name, loop)
+        self.loops[loop.uid] = result
+        return result
+
+
+class ProgramCosts:
+    """The strategy-independent half of generating a program's traces.
+
+    Everything here is a pure function of (program, machine, spec): the
+    CFGs and their loops, resolved trip counts, each scope's collapsed
+    DAG with its frequencies and order, every block's cost vector, and
+    the per-procedure and per-loop cost aggregates (after the recursive
+    SCC rounds).  The marks of an instrumented program change none of
+    it, so the baseline trace and the trace of every strategy and typing
+    share one instance; only the mark rates are aggregated per target.
+    Callers only read it.
+    """
+
+    def __init__(
+        self, program: Program, spec: BehaviorSpec, cost_model: CostModel
+    ) -> None:
+        self.program = program
+        self.spec = spec
+        self.core_types = cost_model.machine.core_types()
+        self.cfgs = {p.name: cached_cfg(p) for p in program}
+        self.loops = {name: find_loops(cfg) for name, cfg in self.cfgs.items()}
+        self.trips = self._resolve_trips()
+        self.vectors = {
+            (name, block.index): cost_model.block_vector(block, program)
+            for name, cfg in self.cfgs.items()
+            for block in cfg.blocks
         }
-        self._resolve_trips()
-        self._precompute_aggregates()
-
-        nodes = self._emit_proc(
-            self._program.entry, depth=0, budget=self._spec.segment_budget
+        self.scopes: dict = {}
+        callgraph = build_callgraph(program, self.cfgs)
+        self.schedule = [
+            (scc, spec.recursion_depth if callgraph.is_recursive(scc) else 1)
+            for scc in callgraph.bottom_up_sccs()
+        ]
+        self.costs = _Aggregates(
+            self._scope_cost, partial(CostVector.zero, self.core_types)
         )
-        if not nodes:
-            raise WorkloadError(
-                f"program {self._program.name!r} produced an empty trace"
-            )
-        trace = Trace(tuple(nodes))
-        # Precompute every segment's flat per-core-type cost tuple here,
-        # at trace-build time: traces are shared templates, so this work
-        # happens once per benchmark instead of once per quantum.
-        ctype_names = [ct.name for ct in self.machine.core_types()]
-        for segment in trace.segments():
-            for name in ctype_names:
-                segment.cost_tuple(name)
-        return trace
-
-    def isolated_seconds(self, trace: Trace, ctype=None) -> float:
-        """Wall time the trace takes alone on one core (fastest by
-        default): the ``t_i`` of the stretch metric."""
-        ctype = ctype or self.machine.core_types()[0]
-        return trace.total_cycles(ctype.name) / ctype.freq_hz
+        self.costs.run(self.schedule)
 
     # -- setup --------------------------------------------------------------
 
-    def _resolve_trips(self) -> None:
+    def _resolve_trips(self) -> dict:
         """Resolve (proc, label) trip keys to loop uids."""
-        self._trips = {}
-        for key, trips in self._spec.trip_counts.items():
+        trips = {}
+        for key, count in self.spec.trip_counts.items():
             if isinstance(key, str):
-                self._trips[key] = float(trips)
+                trips[key] = float(count)
                 continue
             proc_name, label = key
-            proc = self._program[proc_name]
+            proc = self.program[proc_name]
             if label not in proc.labels:
                 raise SimulationError(
                     f"trip count names unknown label {label!r} in "
@@ -198,33 +223,36 @@ class TraceGenerator:
                 raise SimulationError(
                     f"label {label!r} in {proc_name!r} is not a loop header"
                 )
-            self._trips[loop.uid] = float(trips)
+            trips[loop.uid] = float(count)
+        return trips
 
     def _loop_with_header_start(self, proc_name: str, start: int) -> Optional[Loop]:
-        cfg = self._cfgs[proc_name]
-        for loop in self._loops[proc_name]:
+        cfg = self.cfgs[proc_name]
+        for loop in self.loops[proc_name]:
             if cfg.blocks[loop.header].start == start:
                 return loop
         return None
 
-    def _trip(self, loop: Loop) -> float:
-        return self._trips.get(loop.uid, self._spec.default_trip)
+    def trip(self, loop: Loop) -> float:
+        return self.trips.get(loop.uid, self.spec.default_trip)
 
     # -- collapsed scope DAGs -----------------------------------------------
 
     def _scope_dag(self, proc_name: str, within: Optional[Loop]):
         """Build the collapsed DAG of one scope.
 
-        Returns (items, succs, entry_key) where items maps key -> item
-        and succs maps key -> ordered list of (succ_key, original_edges).
+        Returns (items, succs, entry_key, members) where items maps key
+        -> item, succs maps key -> ordered list of (succ_key,
+        original_edges) and members is the set of original block
+        indices in the scope.
         """
-        cfg = self._cfgs[proc_name]
+        cfg = self.cfgs[proc_name]
         if within is None:
-            members = set(range(len(cfg.blocks)))
-            sub_loops = [l for l in self._loops[proc_name] if l.parent is None]
+            members = frozenset(range(len(cfg.blocks)))
+            sub_loops = [l for l in self.loops[proc_name] if l.parent is None]
             entry_block = 0
         else:
-            members = set(within.body)
+            members = within.body
             sub_loops = within.children
             entry_block = within.header
 
@@ -268,25 +296,25 @@ class TraceGenerator:
             succs[key].sort(key=lambda s: str(s[0]))
 
         entry_key = lift(entry_block)
-        return items, succs, entry_key
+        return items, succs, entry_key, members
 
-    def _scope_info(self, proc_name: str, within: Optional[Loop]):
-        """Memoized (items, succs, entry_key, freq, order) of one scope.
+    def scope(self, proc_name: str, within: Optional[Loop]):
+        """Memoized (items, succs, entry_key, freq, order, members) of
+        one scope.
 
         The scope DAG, its frequencies and its topological order depend
-        only on program structure and trip counts — both fixed for the
-        duration of one :meth:`generate` call — so aggregation rounds and
+        only on program structure, so cost and mark-rate aggregation and
         emission share one computation per scope.  Callers treat the
         returned structures as read-only.
         """
         key = (proc_name, within.uid if within is not None else None)
-        got = self._dag_memo.get(key)
+        got = self.scopes.get(key)
         if got is None:
-            items, succs, entry_key = self._scope_dag(proc_name, within)
+            items, succs, entry_key, members = self._scope_dag(proc_name, within)
             freq = self._frequencies(items, succs, entry_key)
             order = self._topo_order(items, succs, entry_key)
-            got = (items, succs, entry_key, freq, order)
-            self._dag_memo[key] = got
+            got = (items, succs, entry_key, freq, order, members)
+            self.scopes[key] = got
         return got
 
     def _frequencies(self, items, succs, entry_key) -> dict:
@@ -339,6 +367,102 @@ class TraceGenerator:
         order.reverse()
         return order
 
+    # -- cost aggregation -----------------------------------------------------
+
+    def _scope_cost(self, proc_name: str, within: Optional[Loop]) -> CostVector:
+        items, _, _, freq, _, _ = self.scope(proc_name, within)
+        total = CostVector.zero(self.core_types)
+        cfg = self.cfgs[proc_name]
+        program = self.program
+        for key, item in items.items():
+            f = freq[key]
+            if f <= _EPS:
+                continue
+            if item.loop is not None:
+                loop = item.loop
+                total.add(self.costs.loop(proc_name, loop), f * self.trip(loop))
+            else:
+                block = cfg.blocks[item.block]
+                total.add(self.vectors[(proc_name, item.block)], f)
+                if block.kind is NodeKind.CALL:
+                    callee = block.call_target
+                    if callee is not None and callee in program:
+                        total.add(self.costs.proc(callee), f)
+        return total
+
+
+class TraceGenerator:
+    """Generates traces for one machine configuration."""
+
+    def __init__(self, machine: MachineConfig, memory: Optional[MemoryModel] = None):
+        self.machine = machine
+        self.cost_model = CostModel(machine, memory)
+        self._reset()
+
+    def _reset(self) -> None:
+        self._program: Optional[Program] = None
+        self._instrumented = None
+        self._spec: Optional[BehaviorSpec] = None
+        self._costs: Optional[ProgramCosts] = None
+        self._rates: Optional[_Aggregates] = None
+
+    # -- public API ---------------------------------------------------------
+
+    def generate(
+        self, target, spec: Optional[BehaviorSpec] = None, costs=None
+    ) -> Trace:
+        """Generate the trace of *target* under *spec*.
+
+        Args:
+            target: a :class:`~repro.program.module.Program` or an
+                :class:`~repro.instrument.rewriter.InstrumentedProgram`.
+            spec: behaviour parameters; defaults apply when omitted.
+            costs: optional memo for the program's :class:`ProgramCosts`:
+                called with the zero-argument function that builds them,
+                it returns the (possibly shared) instance.  The pipeline
+                passes a content-keyed cache lookup here; by default they
+                are built for this call alone.
+        """
+        self._reset()
+        self._spec = spec or BehaviorSpec()
+        if hasattr(target, "program") and hasattr(target, "mark_at_edge"):
+            self._instrumented = target
+            self._program = target.program
+        else:
+            self._instrumented = None
+            self._program = target
+
+        def build() -> ProgramCosts:
+            return ProgramCosts(self._program, self._spec, self.cost_model)
+
+        self._costs = build() if costs is None else costs(build)
+        if self._instrumented is not None:
+            self._rates = _Aggregates(self._scope_rates, dict)
+            self._rates.run(self._costs.schedule)
+
+        nodes = self._emit_proc(
+            self._program.entry, depth=0, budget=self._spec.segment_budget
+        )
+        if not nodes:
+            raise WorkloadError(
+                f"program {self._program.name!r} produced an empty trace"
+            )
+        trace = Trace(tuple(nodes))
+        # Precompute every segment's flat per-core-type cost tuple here,
+        # at trace-build time: traces are shared templates, so this work
+        # happens once per benchmark instead of once per quantum.
+        ctype_names = [ct.name for ct in self.machine.core_types()]
+        for segment in trace.segments():
+            for name in ctype_names:
+                segment.cost_tuple(name)
+        return trace
+
+    def isolated_seconds(self, trace: Trace, ctype=None) -> float:
+        """Wall time the trace takes alone on one core (fastest by
+        default): the ``t_i`` of the stretch metric."""
+        ctype = ctype or self.machine.core_types()[0]
+        return trace.total_cycles(ctype.name) / ctype.freq_hz
+
     # -- marks ---------------------------------------------------------------
 
     def _mark_on_edge(self, proc_name: str, src: int, dst: int):
@@ -353,7 +477,7 @@ class TraceGenerator:
 
     def _section_entry_marks(self, proc_name: str, loop: Loop) -> list:
         """Marks on the edges entering *loop* from outside."""
-        cfg = self._cfgs[proc_name]
+        cfg = self._costs.cfgs[proc_name]
         marks = []
         for src in cfg.preds(loop.header):
             if src in loop.body:
@@ -363,63 +487,19 @@ class TraceGenerator:
                 marks.append(mark)
         return marks
 
-    # -- aggregation (collapse) ----------------------------------------------
+    # -- mark-rate aggregation -------------------------------------------------
 
-    def _precompute_aggregates(self) -> None:
-        """Aggregate procedure costs bottom-up; iterate recursive SCCs."""
-        callgraph = build_callgraph(self._program, self._cfgs)
-        for scc in callgraph.bottom_up_sccs():
-            rounds = (
-                self._spec.recursion_depth if callgraph.is_recursive(scc) else 1
-            )
-            for name in scc:
-                self._agg_memo[name] = (
-                    CostVector.zero(self.machine.core_types()),
-                    {},
-                )
-            for _ in range(rounds):
-                for name in scc:
-                    self._loop_memo = {
-                        k: v
-                        for k, v in self._loop_memo.items()
-                        if not k.startswith(f"{name}@")
-                    }
-                    self._agg_memo[name] = self._aggregate_scope(name, None)
-
-    def _aggregate_proc(self, proc_name: str):
-        """(cost, mark rates) of one call to *proc_name*."""
-        cached = self._agg_memo.get(proc_name)
-        if cached is not None:
-            return cached
-        self._agg_memo[proc_name] = (
-            CostVector.zero(self.machine.core_types()),
-            {},
-        )
-        result = self._aggregate_scope(proc_name, None)
-        self._agg_memo[proc_name] = result
-        return result
-
-    def _aggregate_loop(self, proc_name: str, loop: Loop):
-        """(cost, mark rates) of ONE iteration of *loop*."""
-        cached = self._loop_memo.get(loop.uid)
-        if cached is not None:
-            return cached
-        result = self._aggregate_scope(proc_name, loop)
-        self._loop_memo[loop.uid] = result
-        return result
-
-    def _aggregate_scope(self, proc_name: str, within: Optional[Loop]):
-        items, succs, entry_key, freq, _ = self._scope_info(proc_name, within)
-        member_blocks = self._scope_members(proc_name, within)
-        core_types = self.machine.core_types()
-        total = CostVector.zero(core_types)
+    def _scope_rates(self, proc_name: str, within: Optional[Loop]) -> dict:
+        """Expected firings of each mark per execution of one scope."""
+        costs = self._costs
+        items, _, _, freq, _, member_blocks = costs.scope(proc_name, within)
         rates: dict = {}
 
         def add_rate(mark, rate: float) -> None:
             if rate > _EPS:
                 rates[mark.mark_id] = rates.get(mark.mark_id, 0.0) + rate
 
-        cfg = self._cfgs[proc_name]
+        cfg = costs.cfgs[proc_name]
         program = self._program
         for key, item in items.items():
             f = freq[key]
@@ -427,21 +507,18 @@ class TraceGenerator:
                 continue
             if item.loop is not None:
                 loop = item.loop
-                trips = self._trip(loop)
-                inner_cost, inner_rates = self._aggregate_loop(proc_name, loop)
-                total.add(inner_cost, f * trips)
+                trips = costs.trip(loop)
+                inner_rates = self._rates.loop(proc_name, loop)
                 for mark_id, rate in inner_rates.items():
                     rates[mark_id] = rates.get(mark_id, 0.0) + f * trips * rate
                 for mark in self._section_entry_marks(proc_name, loop):
                     add_rate(mark, f)
             else:
                 block = cfg.blocks[item.block]
-                total.add(self.cost_model.block_vector(block, program), f)
                 if block.kind is NodeKind.CALL:
                     callee = block.call_target
                     if callee is not None and callee in program:
-                        callee_cost, callee_rates = self._aggregate_proc(callee)
-                        total.add(callee_cost, f)
+                        callee_rates = self._rates.proc(callee)
                         for mark_id, rate in callee_rates.items():
                             rates[mark_id] = rates.get(mark_id, 0.0) + f * rate
                         entry = self._proc_entry_mark(callee)
@@ -457,7 +534,19 @@ class TraceGenerator:
                     mark = self._mark_on_edge(proc_name, src, item.block)
                     if mark is not None:
                         add_rate(mark, f / max(1, len(cfg.preds(item.block))))
-        return total, rates
+        return rates
+
+    def _aggregate_proc(self, proc_name: str):
+        """(cost, mark rates) of one call to *proc_name*."""
+        cost = self._costs.costs.proc(proc_name)
+        rates = self._rates.proc(proc_name) if self._rates is not None else {}
+        return cost, rates
+
+    def _aggregate_loop(self, proc_name: str, loop: Loop):
+        """(cost, mark rates) of ONE iteration of *loop*."""
+        cost = self._costs.costs.loop(proc_name, loop)
+        rates = self._rates.loop(proc_name, loop) if self._rates is not None else {}
+        return cost, rates
 
     # -- emission (expand) -----------------------------------------------------
 
@@ -473,7 +562,7 @@ class TraceGenerator:
         )
         if not structured:
             return 1.0
-        trips = max(1.0, self._trip(loop))
+        trips = max(1.0, self._costs.trip(loop))
         child_budget = budget / trips
         inner = sum(
             self._estimated_steps(proc_name, child, child_budget)
@@ -487,7 +576,7 @@ class TraceGenerator:
 
     def _inlinable_call_steps(self, proc_name: str, loop: Loop) -> float:
         """Rough step count contributed by calls inlined in *loop*'s body."""
-        cfg = self._cfgs[proc_name]
+        cfg = self._costs.cfgs[proc_name]
         covered = set()
         for child in loop.children:
             covered.update(child.body)
@@ -500,13 +589,13 @@ class TraceGenerator:
                 callee = block.call_target
                 if callee in self._program and self._callee_has_loops(callee):
                     outer_loops = sum(
-                        1 for l in self._loops[callee] if l.parent is None
+                        1 for l in self._costs.loops[callee] if l.parent is None
                     )
                     steps += 1.0 + outer_loops
         return steps
 
     def _callee_has_loops(self, callee: str) -> bool:
-        return bool(self._loops.get(callee))
+        return bool(self._costs.loops.get(callee))
 
     def _emit_proc(self, proc_name: str, depth: int, budget: float) -> list:
         nodes = self._emit_scope(proc_name, None, depth, budget)
@@ -541,9 +630,12 @@ class TraceGenerator:
     def _emit_scope(
         self, proc_name: str, within: Optional[Loop], depth: int, budget: float
     ) -> list:
-        items, succs, entry_key, freq, order = self._scope_info(proc_name, within)
-        member_blocks = self._scope_members(proc_name, within)
-        cfg = self._cfgs[proc_name]
+        costs = self._costs
+        items, succs, entry_key, freq, order, member_blocks = costs.scope(
+            proc_name, within
+        )
+        cfg = costs.cfgs[proc_name]
+        vectors = costs.vectors
         program = self._program
         core_types = self.machine.core_types()
         scope_uid = within.uid if within else proc_name
@@ -592,8 +684,7 @@ class TraceGenerator:
             pending_count[0] = 0
 
         def fold_block(item: _ScopeItem, f: float) -> None:
-            block = cfg.blocks[item.block]
-            pending_cost.add(self.cost_model.block_vector(block, program), f)
+            pending_cost.add(vectors[(proc_name, item.block)], f)
             pending_count[0] += 1
             inside = [s_ for s_ in cfg.preds(item.block) if s_ in member_blocks]
             for src in inside:
@@ -621,7 +712,7 @@ class TraceGenerator:
 
         def collapse_loop(loop: Loop, f: float) -> None:
             flush("pre")
-            trips = self._trip(loop)
+            trips = costs.trip(loop)
             cost, rates = self._aggregate_loop(proc_name, loop)
             embedded = tuple(
                 EmbeddedMark(mid, _mark_phase(self._instrumented, mid), rate)
@@ -647,7 +738,7 @@ class TraceGenerator:
                 continue
             if item.loop is not None:
                 loop = item.loop
-                trips = self._trip(loop)
+                trips = costs.trip(loop)
                 steps = self._estimated_steps(proc_name, loop, budget)
                 expandable = f >= EXPAND_FREQ_THRESHOLD and steps > 1.0
                 if expandable:
@@ -676,14 +767,14 @@ class TraceGenerator:
                 and f >= EXPAND_FREQ_THRESHOLD
                 and depth < self._spec.max_inline_depth
             ):
-                pending_cost.add(self.cost_model.block_vector(block, program), f)
+                pending_cost.add(vectors[(proc_name, item.block)], f)
                 pending_count[0] += 1
                 flush("pre")
                 out.extend(
                     self._emit_proc(block.call_target, depth + 1, budget)
                 )
             elif block.kind is NodeKind.CALL and block.call_target in program:
-                pending_cost.add(self.cost_model.block_vector(block, program), f)
+                pending_cost.add(vectors[(proc_name, item.block)], f)
                 fold_call(block, f)
             else:
                 fold_block(item, f)
@@ -691,14 +782,8 @@ class TraceGenerator:
         flush("post")
         return out
 
-    def _scope_members(self, proc_name: str, within: Optional[Loop]) -> set:
-        """Original block indices belonging to a scope."""
-        if within is not None:
-            return set(within.body)
-        return set(range(len(self._cfgs[proc_name].blocks)))
-
     def _loop_contains_inlinable_call(self, proc_name: str, loop: Loop) -> bool:
-        cfg = self._cfgs[proc_name]
+        cfg = self._costs.cfgs[proc_name]
         for b in loop.body:
             block = cfg.blocks[b]
             if block.kind is NodeKind.CALL and block.call_target:

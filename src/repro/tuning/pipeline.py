@@ -19,14 +19,26 @@ Cache levels (each usable on its own):
 
 ====================  =========================================================
 ``typing``            :class:`BlockTyping` per (program, typer)
+``liveness``          per-procedure live-register memo per program, filled
+                      by :func:`build_marks` on demand
 ``transitions``       transition-point sets per (program, typing, strategy)
 ``instrumented``      :class:`InstrumentedProgram` per (program, typing,
                       strategy)
+``costs``             :class:`~repro.sim.tracegen.ProgramCosts` (block cost
+                      vectors, loops, scope DAGs, per-procedure and per-loop
+                      cost aggregates) per (program, machine, spec)
 ``baseline-trace``    mark-free trace + isolated seconds per (program,
                       machine, spec)
 ``tuned``             the full :class:`TunedBinary` per (program, strategy,
                       machine, spec, typing)
 ====================  =========================================================
+
+Only the marks depend on the strategy: typing and liveness are computed
+once per program, and block costs and their aggregates once per
+(program, machine, spec), whatever the number of strategies, typing
+overrides and sweep points.  The ``liveness`` and ``costs`` levels are
+looked up only while an outer level builds, so a warm cache answers
+every request from the outer levels alone.
 """
 
 from __future__ import annotations
@@ -105,7 +117,7 @@ def strategy_fingerprint(strategy: MarkingStrategy) -> str:
 def machine_fingerprint(machine: MachineConfig) -> str:
     cores = ";".join(
         f"{c.cid}:{c.ctype.name}:{c.ctype.freq_ghz}:{c.ctype.l1_kb}:"
-        f"{c.ctype.l2_kb}:{c.l2_group}"
+        f"{c.ctype.l2_kb}:{c.ctype.line_size}:{c.l2_group}"
         for c in machine.cores
     )
     return _digest(machine.name, cores)
@@ -586,6 +598,20 @@ def typed_blocks(
     return cache.get_or_build(key, lambda: typer.type_blocks(program))
 
 
+def live_registers(
+    program: Program, cache: Optional[PipelineCache] = None
+) -> dict:
+    """The (cached) per-procedure liveness memo of *program*.
+
+    :func:`build_marks` fills it on demand, so each procedure that gets
+    a mark under any strategy is analysed once per program.
+    """
+    if cache is None:
+        cache = _DEFAULT_CACHE
+    key = ("liveness", program_fingerprint(program))
+    return cache.get_or_build(key, dict)
+
+
 def transition_points(
     aprog,
     strategy: MarkingStrategy,
@@ -630,10 +656,38 @@ def instrument_cached(
         )
         aprog = annotate_program(program, block_typing)
         points = transition_points(aprog, strategy, cache=cache)
-        marks = build_marks(aprog, points)
+        marks = build_marks(aprog, points, live_registers(program, cache=cache))
         return InstrumentedProgram(program, aprog, strategy.name, marks)
 
     return cache.get_or_build(key, build)
+
+
+def _costs_memo(
+    program: Program,
+    machine: MachineConfig,
+    spec: Optional[BehaviorSpec],
+    cache: PipelineCache,
+) -> Callable:
+    """The ``costs`` memo :meth:`TraceGenerator.generate` takes: every
+    trace of (program, machine, spec) shares one cost aggregation.
+
+    The memo asks the cache once, so the tuned and baseline traces of
+    one build share a single lookup.
+    """
+    key = (
+        "costs",
+        program_fingerprint(program),
+        machine_fingerprint(machine),
+        spec_fingerprint(spec),
+    )
+    found: list = []
+
+    def memo(build):
+        if not found:
+            found.append(cache.get_or_build(key, build))
+        return found[0]
+
+    return memo
 
 
 def baseline_binary(
@@ -646,6 +700,18 @@ def baseline_binary(
     if cache is None:
         cache = _DEFAULT_CACHE
     machine = machine or core2quad_amp()
+    return _baseline_binary(
+        program, machine, spec, cache, _costs_memo(program, machine, spec, cache)
+    )
+
+
+def _baseline_binary(
+    program: Program,
+    machine: MachineConfig,
+    spec: Optional[BehaviorSpec],
+    cache: PipelineCache,
+    costs: Callable,
+) -> tuple:
     key = (
         "baseline-trace",
         program_fingerprint(program),
@@ -655,7 +721,7 @@ def baseline_binary(
 
     def build() -> tuple:
         generator = TraceGenerator(machine)
-        trace = generator.generate(program, spec)
+        trace = generator.generate(program, spec, costs)
         return trace, generator.isolated_seconds(trace)
 
     return cache.get_or_build(key, build)
@@ -720,10 +786,10 @@ def tune_program(
 
     def build() -> TunedBinary:
         instrumented = instrument_cached(program, strategy, typing, cache=cache)
-        generator = TraceGenerator(machine)
-        tuned_trace = generator.generate(instrumented, spec)
-        baseline_trace, isolated = baseline_binary(
-            program, machine, spec, cache=cache
+        costs = _costs_memo(program, machine, spec, cache)
+        tuned_trace = TraceGenerator(machine).generate(instrumented, spec, costs)
+        baseline_trace, isolated = _baseline_binary(
+            program, machine, spec, cache, costs
         )
         return TunedBinary(instrumented, tuned_trace, baseline_trace, isolated)
 

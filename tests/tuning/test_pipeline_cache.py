@@ -1,5 +1,7 @@
 """Tests for the static-pipeline memoization layer."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis import StaticBlockTyper, inject_clustering_error
@@ -18,6 +20,7 @@ from repro.tuning.pipeline import (
     tune_program,
     typed_blocks,
 )
+from repro.workloads.spec import spec_benchmark
 from tests.conftest import make_phased_program
 
 
@@ -46,6 +49,43 @@ def test_machine_fingerprint_distinguishes_machines():
     assert machine_fingerprint(core2quad_amp()) != machine_fingerprint(
         three_core_amp()
     )
+
+
+def _with_line_size(machine, line_size):
+    """*machine* with every core type's cache line resized."""
+    cores = tuple(
+        replace(core, ctype=replace(core.ctype, line_size=line_size))
+        for core in machine.cores
+    )
+    return replace(machine, cores=cores)
+
+
+def test_machine_fingerprint_sees_line_size():
+    machine = core2quad_amp()
+    assert machine_fingerprint(machine) != machine_fingerprint(
+        _with_line_size(machine, 256)
+    )
+
+
+def test_line_size_change_misses_shared_cache():
+    # The cost model reads the line size, so two machines that differ
+    # only there must not share cached traces.
+    benchmark = spec_benchmark("429.mcf")
+    narrow = core2quad_amp()
+    wide = _with_line_size(narrow, 256)
+    shared = PipelineCache()
+    tune_program(
+        benchmark.program, LoopStrategy(45), narrow, benchmark.spec, cache=shared
+    )
+    from_shared = tune_program(
+        benchmark.program, LoopStrategy(45), wide, benchmark.spec, cache=shared
+    )
+    from_fresh = tune_program(
+        benchmark.program, LoopStrategy(45), wide, benchmark.spec,
+        cache=PipelineCache(),
+    )
+    assert from_shared.isolated_seconds == from_fresh.isolated_seconds
+    assert from_shared.tuned_trace.nodes == from_fresh.tuned_trace.nodes
 
 
 def test_spec_fingerprint_none_is_stable():
