@@ -87,8 +87,9 @@ def run_open_system_point(task: tuple) -> OpenSystemResult:
             contention_alpha=config.contention_alpha,
             pollution_beta=config.pollution_beta,
         )
-    # The raw simulation result carries whole process objects (traces,
-    # cursors); strip it before the outcome crosses the pool boundary.
+    # The table reads only the latency and ledger fields; the raw
+    # simulation result's per-process stats would make the pickled
+    # outcome about ten times larger, so it stays behind.
     result.sim_result = None
     return result
 

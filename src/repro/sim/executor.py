@@ -121,6 +121,14 @@ class SimulationResult:
             ``completed`` or ``running``.
         throughput_buckets: instructions committed per 1-second bucket.
         idle_time_by_core: seconds each core spent idle.
+
+    A pickled result carries what the simulation observed, not what it
+    was given: each process in the three lists travels in
+    :meth:`~repro.sim.process.SimProcess.outcome` form, without its
+    trace.  That one form serves pool returns, broker result files, the
+    store mirror and the result inside a checkpoint snapshot; a
+    snapshot's live processes stay whole, because they are pickled
+    from the event heap and runqueues, never from these lists.
     """
 
     machine: MachineConfig
@@ -130,6 +138,12 @@ class SimulationResult:
     throughput_buckets: dict = field(default_factory=dict)
     idle_time_by_core: dict = field(default_factory=dict)
     cancelled: list = field(default_factory=list)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in ("completed", "running", "cancelled"):
+            state[name] = [p.outcome() for p in state[name]]
+        return state
 
     def instructions_before(self, horizon: float) -> float:
         """Instructions committed in ``[0, horizon)``."""

@@ -22,9 +22,13 @@ structure expands beyond the cap — possible only for hand-built
 pathological traces, not generator output — keep the tree walker.
 
 The arrays are a pure cache over the trace (cached on
-``Trace._flat``, excluded from equality and pickling); every float in
-them is taken verbatim from ``Segment.cost_tuple``, so the batched and
-stepped executors see bit-identical per-step costs.
+``Trace._flat``, excluded from equality); every float in them is taken
+verbatim from ``Segment.cost_tuple``, so the batched and stepped
+executors see bit-identical per-step costs.  A pickled ``Trace`` leaves
+them out, but a live process's :class:`FlatCursor` pickles its
+``FlatTrace``: checkpoint snapshots carry the arrays of every queued
+process, which is most of a snapshot's bytes.  Results do not: a
+pickled ``SimulationResult`` drops each process's trace and cursor.
 """
 
 from __future__ import annotations

@@ -141,8 +141,10 @@ class Trace:
     nodes: tuple
     #: Cached flat (vectorized) form built by
     #: :func:`repro.sim.flattrace.flat_trace` — a pure cache, excluded
-    #: from equality and from pickling (workers and the disk cache ship
-    #: only the tree; the flat arrays are rebuilt lazily where needed).
+    #: from equality and from a pickled Trace (workers and the disk
+    #: cache ship only the tree; the arrays are rebuilt lazily).  A live
+    #: process's FlatCursor still pickles them, so checkpoint snapshots
+    #: carry them; results drop traces and cursors altogether.
     _flat: object = field(default=None, repr=False, compare=False)
 
     def __getstate__(self):
@@ -262,6 +264,27 @@ class TraceCursor:
         self.at_entry = False
 
 
+class _SpentCursor:
+    """The cursor of a process in :meth:`SimProcess.outcome` form: it
+    answers ``finished`` and nothing else.  The two instances pickle by
+    reference, so a result pays a few bytes per process for them."""
+
+    __slots__ = ("finished",)
+
+    def __init__(self, finished: bool):
+        self.finished = finished
+
+    def __reduce__(self) -> str:
+        return "_ENDED" if self.finished else "_STOPPED"
+
+
+#: Cursor of a process that ran to the end of its trace.
+_ENDED = _SpentCursor(True)
+#: Cursor of a process stopped before its end (the run's horizon or a
+#: cancellation).
+_STOPPED = _SpentCursor(False)
+
+
 @dataclass(slots=True)
 class ProcessStats:
     """Accumulated execution statistics of one process."""
@@ -342,6 +365,24 @@ class SimProcess:
     @property
     def finished(self) -> bool:
         return self.cursor.finished
+
+    def outcome(self) -> "SimProcess":
+        """This process as a result carries it: a copy with no ``trace``
+        and a cursor that only says whether the process ``finished``.
+
+        Everything else (ids, times, ``stats``, ``tuner_state``) is the
+        same object as here.  Only for processes the simulation will
+        never run again; a process already in this form is returned
+        as is.
+        """
+        if self.trace is None:
+            return self
+        copy = SimProcess.__new__(SimProcess)
+        for name in SimProcess.__slots__:
+            setattr(copy, name, getattr(self, name))
+        copy.trace = None
+        copy.cursor = _ENDED if self.cursor.finished else _STOPPED
+        return copy
 
     @property
     def flow_time(self) -> Optional[float]:

@@ -23,6 +23,7 @@ from repro.sim.checkpoint import (
 )
 from repro.sim.executor import Simulation
 from repro.sim.faults import FaultPlan
+from repro.sim.flattrace import FlatCursor
 from repro.telemetry.context import set_recorder
 from repro.telemetry.recorder import NULL_RECORDER, TraceRecorder
 from repro.tuning.pipeline import PipelineCache
@@ -397,6 +398,22 @@ def test_kill_resume_is_bit_identical(tmp_path, faulted):
     # state — only the checkpoint directory survives.
     _tuned_run(config, cache, faults=plan, checkpoint=partial, until=8.0)
     assert partial.saves > 0
+
+    # The newest snapshot keeps only the outcome of finished processes,
+    # while every live one stays whole: the runqueue entry is the object
+    # the simulation resumes, still sharing its WorkloadRun's trace.
+    state = partial.latest_state()
+    assert state["result"].completed and not state["result"].running
+    assert all(p.trace is None for p in state["result"].completed)
+    queued = [p for q in state["scheduler_state"]["queues"].values() for p in q]
+    assert sorted(p.pid for p in queued) == state["live"]
+    templates = state["on_complete"].__self__
+    for p in queued:
+        assert p.trace is templates.prepared(p.name).trace_template
+        assert isinstance(p.cursor, FlatCursor) and not p.finished
+    restored = Simulation.from_snapshot(state).scheduler.queued_processes()
+    assert len(restored) == len(queued)
+    assert all(a is b for a, b in zip(restored, queued))
 
     resumed_mgr = CheckpointManager(ckpt_dir, interval=3.0)
     resumed = _summary(
