@@ -208,6 +208,17 @@ class PhaseTuningRuntime:
         # -- telemetry (installed by the executor when tracing) ------------
         self._tr = None
         self._tr_run = 0
+        self._build_masks()
+
+    def _build_masks(self) -> None:
+        # Affinity masks depend only on the (frozen) machine, so they are
+        # built once here rather than on every mark firing.  Not pickled:
+        # __setstate__ rebuilds them, which also serves checkpoints
+        # written before the runtime kept them.
+        self._all_mask = self.machine.all_cores_mask
+        self._type_masks = {
+            ct.name: self.machine.affinity_of_type(ct) for ct in self.core_types
+        }
 
     # -- fault wiring ------------------------------------------------------
 
@@ -324,7 +335,12 @@ class PhaseTuningRuntime:
         the session; the executor re-attaches telemetry on restore."""
         state = self.__dict__.copy()
         state["_tr"] = None
+        del state["_all_mask"], state["_type_masks"]
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._build_masks()
 
     def snapshot_state(self) -> dict:
         """Mutable tuning state for checkpoint/resume.
@@ -435,9 +451,9 @@ class PhaseTuningRuntime:
             # itself may fail too), then stop steering entirely.
             if not self._affinity_blocked[proc.pid]:
                 self._affinity_blocked[proc.pid] = True
-                if proc.affinity != self.machine.all_cores_mask:
+                if proc.affinity != self._all_mask:
                     return MarkAction(
-                        affinity=self.machine.all_cores_mask,
+                        affinity=self._all_mask,
                         extra_cycles=AFFINITY_SYSCALL_CYCLES,
                     )
             return MarkAction()
@@ -453,9 +469,9 @@ class PhaseTuningRuntime:
 
         if state.decided is not None:
             if state.decided == FREE:
-                mask = self.machine.all_cores_mask
+                mask = self._all_mask
             else:
-                mask = self.machine.affinity_of_type(state.decided)
+                mask = self._type_masks[state.decided.name]
             if mask != proc.affinity:
                 return MarkAction(
                     affinity=mask, extra_cycles=AFFINITY_SYSCALL_CYCLES
@@ -487,16 +503,16 @@ class PhaseTuningRuntime:
                         f"{state.open_failures} failed counter "
                         f"acquisitions; degrading to FREE",
                     )
-                    if proc.affinity != self.machine.all_cores_mask:
+                    if proc.affinity != self._all_mask:
                         return MarkAction(
-                            affinity=self.machine.all_cores_mask,
+                            affinity=self._all_mask,
                             extra_cycles=AFFINITY_SYSCALL_CYCLES,
                         )
             return MarkAction()
 
         missing = [ct for ct in self.core_types if ct.name not in state.samples]
         if missing:
-            mask = self.machine.affinity_of_type(missing[0])
+            mask = self._type_masks[missing[0].name]
             return MarkAction(affinity=mask, extra_cycles=AFFINITY_SYSCALL_CYCLES)
 
         decision = select_core_checked(
@@ -504,13 +520,13 @@ class PhaseTuningRuntime:
         )
         if decision.significant or self.tie_policy == "algorithm":
             state.decided = decision.core_type
-            mask = self.machine.affinity_of_type(decision.core_type)
+            mask = self._type_masks[decision.core_type.name]
         elif self.tie_policy == "current":
             state.decided = core.ctype
-            mask = self.machine.affinity_of_type(core.ctype)
+            mask = self._type_masks[core.ctype.name]
         else:
             state.decided = FREE
-            mask = self.machine.all_cores_mask
+            mask = self._all_mask
         self.decisions += 1
         if self._tr is not None:
             self._tr.instant(

@@ -232,6 +232,14 @@ class WorkloadRun:
         simulation.snapshot_running()
         return result
 
+    def inputs(self) -> tuple:
+        """``(name, trace, isolated_seconds)`` per benchmark, by name:
+        all that :meth:`run` reads of the benchmarks."""
+        return tuple(
+            (name, p.trace_template, p.isolated_seconds)
+            for name, p in self._prepared.items()
+        )
+
     def isolated_seconds(self, name: str) -> float:
         return self._prepared[name].isolated_seconds
 

@@ -1,5 +1,7 @@
 """Unit tests for the phase-mark runtime state machine."""
 
+import pickle
+
 import pytest
 
 from repro.sim import core2quad_amp
@@ -185,3 +187,24 @@ def test_switch_to_all_runtime(machine):
     assert action.extra_cycles > 0
     assert runtime.assignment_for(proc, 1) is None
     runtime.on_process_end(proc, 1.0)  # No-op, must not raise.
+
+
+def test_pickled_runtime_rebuilds_its_masks(machine):
+    """The affinity masks a runtime builds once are left out of its
+    pickle, which therefore keeps the form checkpoints written before
+    the masks existed hold; loading either form rebuilds them."""
+    runtime = _runtime(machine, delta=0.05)
+    state = runtime.__getstate__()
+    assert "_all_mask" not in state and "_type_masks" not in state
+    restored = pickle.loads(pickle.dumps(runtime))
+    assert restored._all_mask == machine.all_cores_mask
+    assert restored._type_masks == {
+        ct.name: machine.affinity_of_type(ct) for ct in machine.core_types()
+    }
+    # The restored runtime steers exactly like the one it was taken from.
+    proc = _proc(machine)
+    restored.on_mark(proc, 0, 1, machine.cores[0], 0.0)
+    _feed_sample(proc, "fast", 2000.0, 10_000.0)
+    assert restored.on_mark(proc, 0, 1, machine.cores[0], 1.0).affinity == (
+        frozenset({2, 3})
+    )
